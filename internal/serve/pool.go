@@ -7,7 +7,9 @@
 // lookup and the flight-table lookup happen under the same mutex, two
 // concurrent identical misses can never both reach a worker: whichever
 // classifies first creates the flight, the other finds it. That is the
-// exactly-once guarantee the acceptance test pins under -race.
+// exactly-once guarantee the acceptance test pins under -race. Hits and
+// joins match the full canonical text, not just the 64-bit key, so a digest
+// collision degrades to an uncached recomputation, never a wrong answer.
 //
 // Admission is all-or-nothing per request: a batch (a sweep, a whole
 // figure) either reserves queue slots and client quota for every new flight
@@ -35,15 +37,23 @@ import (
 // requesting client's quota; the HTTP layer maps it to 429.
 var ErrBusy = errors.New("serve: queue full or client quota exceeded")
 
-// flight is one in-progress computation. All requests for its key share it;
-// entry/err are written by exactly one worker before done is closed.
+// flight is one in-progress computation. All requests for its key and
+// canonical text share it; entry/err are written by exactly one worker
+// before done is closed.
 type flight struct {
 	key    string
+	canon  string
 	cell   bench.Cell
 	client string // originator, whose quota the flight consumes
 	done   chan struct{}
 	entry  Entry
 	err    error
+
+	// cached marks a flight registered under key whose result goes to the
+	// store. A request whose key is already held by different canonical
+	// text — a 64-bit digest collision — runs uncached: it neither joins,
+	// replaces nor stores over the holder.
+	cached bool
 }
 
 // Pool runs cell computations on a fixed set of worker goroutines.
@@ -105,21 +115,27 @@ func (p *Pool) Submit(client string, cells []bench.Cell) ([]Entry, int, error) {
 	hits := 0
 
 	p.mu.Lock()
-	// Pass 1: classify without side effects, counting the distinct new
-	// flights this batch needs.
+	// Pass 1: classify without side effects, counting the new flights this
+	// batch needs: one per distinct new key, plus one per colliding cell.
 	keys := make([]string, len(cells))
-	newKeys := make(map[string]bool)
+	canons := make([]string, len(cells))
+	planned := make(map[string]string) // key -> canon of a flight this batch creates
+	newFlights := 0
 	for i, c := range cells {
-		keys[i] = KeyCell(c)
-		if _, ok := p.store.Get(keys[i]); ok {
-			continue
+		canons[i] = CanonicalCell(c)
+		keys[i] = rederiveKey(canons[i])
+		holder, held := p.holder(keys[i])
+		if !held {
+			holder, held = planned[keys[i]]
 		}
-		if _, ok := p.flights[keys[i]]; ok {
-			continue
+		if !held {
+			planned[keys[i]] = canons[i]
+			newFlights++
+		} else if holder != canons[i] {
+			newFlights++
 		}
-		newKeys[keys[i]] = true
 	}
-	if p.queued+len(newKeys) > p.queueCap || p.byClient[client]+len(newKeys) > p.clientCap {
+	if p.queued+newFlights > p.queueCap || p.byClient[client]+newFlights > p.clientCap {
 		p.mu.Unlock()
 		p.metrics.Rejected.Add(1)
 		return nil, 0, ErrBusy
@@ -127,19 +143,24 @@ func (p *Pool) Submit(client string, cells []bench.Cell) ([]Entry, int, error) {
 	// Pass 2: commit. Duplicates within the batch coalesce onto the flight
 	// the first occurrence creates, exactly like cross-request duplicates.
 	for i, c := range cells {
-		if e, ok := p.store.Get(keys[i]); ok {
+		e, stored := p.store.Get(keys[i])
+		if stored && e.Canon == canons[i] {
 			out[i] = e
 			hits++
 			p.metrics.Hits.Add(1)
 			continue
 		}
-		if f, ok := p.flights[keys[i]]; ok {
-			waits[i] = f
+		held := p.flights[keys[i]]
+		if !stored && held != nil && held.canon == canons[i] {
+			waits[i] = held
 			p.metrics.Coalesced.Add(1)
 			continue
 		}
-		f := &flight{key: keys[i], cell: c, client: client, done: make(chan struct{})}
-		p.flights[keys[i]] = f
+		f := &flight{key: keys[i], canon: canons[i], cell: c, client: client, done: make(chan struct{})}
+		if !stored && held == nil {
+			f.cached = true
+			p.flights[keys[i]] = f
+		}
 		p.queued++
 		p.byClient[client]++
 		p.metrics.Misses.Add(1)
@@ -162,6 +183,18 @@ func (p *Pool) Submit(client string, cells []bench.Cell) ([]Entry, int, error) {
 	return out, hits, nil
 }
 
+// holder returns the canonical text that owns key — the stored entry's, or
+// else the in-flight computation's — and whether any does. Callers hold p.mu.
+func (p *Pool) holder(key string) (string, bool) {
+	if e, ok := p.store.Get(key); ok {
+		return e.Canon, true
+	}
+	if f, ok := p.flights[key]; ok {
+		return f.canon, true
+	}
+	return "", false
+}
+
 // worker executes flights until the queue closes.
 func (p *Pool) worker() {
 	defer p.wg.Done()
@@ -180,13 +213,15 @@ func (p *Pool) worker() {
 		if err == nil {
 			f.entry = Entry{
 				Key:        f.key,
-				Canon:      CanonicalCell(f.cell),
+				Canon:      f.canon,
 				Experiment: f.cell.Experiment,
 				Series:     f.cell.Series,
 				PS:         int64(t),
 				ComputeMS:  ms,
 			}
-			p.store.Put(f.entry)
+			if f.cached {
+				p.store.Put(f.entry)
+			}
 			p.metrics.ObserveCompute(f.cell.Experiment, ms)
 		} else {
 			f.err = err
@@ -195,7 +230,9 @@ func (p *Pool) worker() {
 		// Failed flights are removed, not cached: a later identical request
 		// retries rather than replaying the error forever.
 		p.mu.Lock()
-		delete(p.flights, f.key)
+		if f.cached {
+			delete(p.flights, f.key)
+		}
 		if p.byClient[f.client]--; p.byClient[f.client] == 0 {
 			delete(p.byClient, f.client)
 		}

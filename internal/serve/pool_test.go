@@ -329,3 +329,65 @@ func TestWorldPoolGrowthUnderMixedConfigs(t *testing.T) {
 		t.Fatalf("misses = %d, want %d distinct cells", metrics.Misses.Load(), len(cells))
 	}
 }
+
+// TestKeyCollisionNeverServesForeignEntry pins the digest-collision rule: a
+// stored entry or an in-flight computation holding a request's key under
+// different canonical text is never returned for that request, and the
+// request's own result never replaces the holder.
+func TestKeyCollisionNeverServesForeignEntry(t *testing.T) {
+	var calls atomic.Int32
+	store, metrics := NewStore(), NewMetrics()
+	p := NewPool(store, metrics, 1, 8, 8, func(c bench.Cell) (sim.Time, error) {
+		calls.Add(1)
+		return 42_000, nil
+	})
+	defer p.Close()
+
+	cells := distinctCells(2)
+	foreign := Entry{Key: KeyCell(cells[0]), Canon: "v=other\n", PS: 999}
+	store.Put(foreign)
+	for round := 0; round < 2; round++ {
+		entries, hits, err := p.Submit("a", []bench.Cell{cells[0], cells[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range entries {
+			if e.PS != 42_000 || e.Canon != CanonicalCell(cells[0]) {
+				t.Fatalf("round %d cell %d: got PS=%d canon=%q, want the request's own result", round, i, e.PS, e.Canon)
+			}
+		}
+		if hits != 0 {
+			t.Fatalf("round %d: %d hits on a colliding key", round, hits)
+		}
+	}
+	if got, _ := store.Get(foreign.Key); got != foreign {
+		t.Fatalf("stored holder replaced: %+v", got)
+	}
+	if got := calls.Load(); got != 4 {
+		t.Fatalf("colliding requests ran %d times, want 4 (never cached)", got)
+	}
+
+	// An in-flight holder with different canonical text is not joined and
+	// stays registered after the colliding request completes.
+	key := KeyCell(cells[1])
+	held := &flight{key: key, canon: "v=other\n", done: make(chan struct{}), entry: Entry{PS: 999}, cached: true}
+	p.mu.Lock()
+	p.flights[key] = held
+	p.mu.Unlock()
+	entries, _, err := p.Submit("b", []bench.Cell{cells[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries[0].PS != 42_000 {
+		t.Fatalf("joined a colliding flight: PS=%d", entries[0].PS)
+	}
+	p.mu.Lock()
+	still := p.flights[key]
+	p.mu.Unlock()
+	if still != held {
+		t.Fatal("colliding request removed the in-flight holder")
+	}
+	if _, ok := store.Get(key); ok {
+		t.Fatal("colliding request stored its result under the held key")
+	}
+}

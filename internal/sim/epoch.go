@@ -17,13 +17,13 @@
 // order and stable-sorted by timestamp, so equal-time messages keep (src id,
 // lane position) order — a pure function of the simulation, independent of
 // which goroutine ran which shard when. Delivered messages enter the
-// destination's heap through the normal push path, acquiring per-shard seqs
-// in delivery order; since every delivered timestamp is strictly after the
-// destination's clock (the window-edge invariant below), delivery never
-// races the destination's same-instant ring.
+// destination's event queue through the normal push path, in delivery
+// order; since every delivered timestamp is strictly after the destination's
+// clock (the window-edge invariant below), delivery never races the
+// destination's same-instant ring.
 //
 // Window-edge invariant: when a shard finishes a window bounded by W, its
-// ring is empty, every heap entry is at t >= W, and its clock is < W. Mail
+// ring is empty, every queue entry is at t >= W, and its clock is < W. Mail
 // delivered for the next window therefore always lands in the future of the
 // destination's clock.
 package sim
@@ -117,9 +117,9 @@ func (sh *Shard) PostHook(t Time, dst *Shard, h PostHandler, a, b int64) {
 	*lane = append(*lane, xmsg{t: t, kind: xHook, h: h, a: a, b: b})
 }
 
-// deliver enqueues one merged message on the shard's heap. The caller (the
-// controller, between phases) guarantees t > sh.now, so the entry always
-// belongs in the future queue, never the same-instant ring.
+// deliver enqueues one merged message on the shard's event queue. The
+// caller (the controller, between phases) guarantees t > sh.now, so the
+// entry always belongs in the future queue, never the same-instant ring.
 func (sh *Shard) deliver(m *xmsg) {
 	switch m.kind {
 	case xAdd:
@@ -177,7 +177,7 @@ func (k *Kernel) deliverMail() {
 
 // minPending returns the earliest runnable instant across all shards: the
 // shard's clock if its same-instant ring holds work (Spawn seeds resumes on
-// the ring before the first Run), else its heap top. ok is false when no
+// the ring before the first Run), else its queue minimum. ok is false when no
 // shard has anything pending — with empty lanes (always true between
 // epochs) that means the simulation is finished or deadlocked.
 func (k *Kernel) minPending() (Time, bool) {
@@ -187,8 +187,8 @@ func (k *Kernel) minPending() (Time, bool) {
 		var st Time
 		if !sh.ring.empty() {
 			st = sh.now
-		} else if len(sh.queue.s) > 0 {
-			st = sh.queue.s[0].t
+		} else if qt, ok := sh.queue.peek(); ok {
+			st = qt
 		} else {
 			continue
 		}

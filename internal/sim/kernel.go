@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // entry is one schedulable unit, encoded without pointers so the run ring,
-// the event heap, and every waiter list are memory the GC never has to scan.
+// the event queue, and every waiter list are memory the GC never has to scan.
 // kind selects the dispatch and idx names the target: a slot in the shard's
 // callback table (eFn), hook table (eHook), add table (eAdd), or a process's
 // dense arena index (everything else).
@@ -22,7 +25,7 @@ type entry struct {
 }
 
 // entry kinds. The zero value (eNone) is never scheduled; popping one would
-// indicate ring/heap corruption.
+// indicate ring/queue corruption.
 const (
 	eNone   uint8 = iota
 	eFn           // run callback-table slot idx
@@ -345,194 +348,155 @@ func (r *runRing) grow() {
 	r.buf, r.head, r.tail = next, 0, r.n
 }
 
-// scheduled is one future timestamp in the event heap: its firing time, the
-// sequence number of the first entry batched at that node (the same-time
-// FIFO tiebreak), and the index of the batch holding the entries themselves.
-// Pointer-free: a megabyte-scale heap of these contributes nothing to a GC
-// mark phase (the batch table's slice spines are the only headers scanned).
-type scheduled struct {
+// timed is one pending future entry: its firing time and the entry itself.
+// Pointer-free, so a megabyte-scale queue contributes nothing to a GC mark
+// phase (the bucket slice headers are the only words scanned).
+type timed struct {
 	t   Time
-	seq int64
-	bi  int32
+	ent entry
 }
 
-// eventHeap is a monomorphic 4-ary min-heap of entry batches ordered by
-// (t, seq). A 4-ary layout halves the tree depth of a binary heap, and the
-// concrete element type avoids the interface boxing and indirect calls of
-// container/heap.
+// eventQueue is a monotone radix queue (a radix heap in the sense of Ahuja,
+// Mehlhorn, Orlin and Tarjan) of future entries. It relies on the
+// scheduler's monotonicity: every push is at or after last, the time of the
+// most recent pop, because the shard only pushes strictly after its clock
+// and the clock is exactly last after any pop.
 //
-// Entries scheduled at the same instant are batched into one heap node:
-// collective phases wake whole tree levels at one timestamp, so roughly half
-// of all pushes in a full sweep land at the time of an immediately preceding
-// push. Batching turns those pushes into a plain append (no sift-up) and —
-// the real win — pays the pop's full-depth sift-down once per distinct
-// timestamp instead of once per entry, on a heap with proportionally fewer
-// nodes.
+// An entry at time t lives in bucket bits.Len64(t ^ last): bucket 0 holds
+// entries at exactly last, and bucket i > 0 holds entries that agree with
+// last above bit i-1 and have that bit set, so every bucket covers a time
+// range strictly below the next non-empty one. Popping drains bucket 0
+// FIFO; when it is empty, the lowest non-empty bucket's minimum becomes the
+// new last and that bucket is redistributed into the (empty) buckets below
+// it. Entries of higher buckets still agree with the new last above their
+// own differing bit, so their placement stays valid and they never move
+// until their range becomes the lowest.
 //
-// The batch a push may join is tracked by a two-slot (time, batch) cache of
-// the most recently created batches. The cache only ever routes a push to
-// the *newest* batch at its timestamp: a hit appends (monotonically growing
-// seq), and a miss creates a fresh batch that supersedes any older one at
-// that time, whose node then drains first by (t, firstSeq) order. Batch
-// membership therefore never reorders entries — global execution order stays
-// exactly the per-shard (t, seq) FIFO of the unbatched heap — and the cache
-// influences only where entries are stored, never when they run.
-type eventHeap struct {
-	s   []scheduled
-	seq int64
-
-	// pos is the drain cursor into the root's batch: pop returns
-	// buckets[s[0].bi][pos] and removes the root node only once its batch is
-	// exhausted. A push may append to the root's batch mid-drain (it holds
-	// the newest seq and there is no younger batch at that time while the
-	// cache points there), which simply extends the current drain.
-	pos int
-
-	// buckets is the batch table; bfree recycles slots LIFO so a reused
-	// kernel assigns the same slot numbers as a fresh one.
-	buckets [][]entry
-	bfree   []int32
-
-	// The batch cache: up to two distinct (time, batch) pairs, LRU-evicted.
-	// Two slots cover the ping-pong of a transfer-completion time interleaved
-	// with same-instant wakeups that a single slot would thrash on.
-	cacheT   [2]Time
-	cacheB   [2]int32
-	cacheOK  [2]bool
-	cacheLRU uint8
+// Order: all entries with the same time always sit in the same bucket, and
+// every operation keeps their relative order — a push appends, and a
+// redistribution keeps a bucket's entries in order, compacting those at the
+// new last in place and appending the rest to buckets that are empty at
+// that moment. Equal-time entries therefore pop in push order, so the
+// queue yields the exact per-shard (time, push sequence) order without
+// storing a sequence number.
+//
+// Timestamps are non-negative int64, so t ^ last < 2^63 and buckets 0..63
+// cover every placement; the array has room for bits.Len64's full range so
+// indexing by it needs no bounds check. Mask bit i marks bucket i > 0 as
+// non-empty.
+type eventQueue struct {
+	last Time
+	head int // drain cursor into b[0]
+	mask uint64
+	b    [65][]timed
 }
 
+// nowPending reports whether entries remain at the queue's current instant
+// (bucket 0).
+func (q *eventQueue) nowPending() bool { return q.head < len(q.b[0]) }
+
+// push schedules ent at t, which must be >= last.
+//
 //bgplint:hot
-func (h *eventHeap) push(t Time, ent entry) {
-	h.seq++
-	if h.cacheOK[0] && h.cacheT[0] == t {
-		bi := h.cacheB[0]
-		h.buckets[bi] = append(h.buckets[bi], ent)
-		h.cacheLRU = 1
-		return
-	}
-	if h.cacheOK[1] && h.cacheT[1] == t {
-		bi := h.cacheB[1]
-		h.buckets[bi] = append(h.buckets[bi], ent)
-		h.cacheLRU = 0
-		return
-	}
-	// New batch at t.
-	var bi int32
-	if n := len(h.bfree); n > 0 {
-		bi = h.bfree[n-1]
-		h.bfree = h.bfree[:n-1]
-		h.buckets[bi] = append(h.buckets[bi][:0], ent)
-	} else {
-		bi = int32(len(h.buckets))
-		//bgplint:allow hotalloc -- one-time bucket-table growth; slots recycle through bfree across Reset, so a warmed kernel never reaches this branch
-		b := make([]entry, 1, 4)
-		b[0] = ent
-		h.buckets = append(h.buckets, b)
-	}
-	v := h.cacheLRU
-	h.cacheT[v], h.cacheB[v], h.cacheOK[v] = t, bi, true
-	h.cacheLRU = 1 - v
-	h.s = append(h.s, scheduled{t: t, seq: h.seq, bi: bi})
-	// Sift up.
-	s := h.s
-	i := len(s) - 1
-	e := s[i]
-	for i > 0 {
-		parent := (i - 1) >> 2
-		p := s[parent]
-		if e.t > p.t || (e.t == p.t && e.seq > p.seq) {
-			break
-		}
-		s[i] = p
-		i = parent
-	}
-	s[i] = e
+func (q *eventQueue) push(t Time, ent entry) {
+	i := bits.Len64(uint64(t ^ q.last))
+	q.b[i] = append(q.b[i], timed{t, ent})
+	q.mask |= 1 << i &^ 1
 }
 
+// peek returns the earliest pending time without moving last: a sharded
+// window that stops at its bound may later receive mail below the peeked
+// minimum. ok is false when the queue is empty.
+//
 //bgplint:hot
-func (h *eventHeap) pop() entry {
-	s := h.s
-	bi := s[0].bi
-	b := h.buckets[bi]
-	ent := b[h.pos]
-	if h.pos++; h.pos < len(b) {
-		return ent
+func (q *eventQueue) peek() (t Time, ok bool) {
+	if q.head < len(q.b[0]) {
+		return q.last, true
 	}
-	// Batch exhausted: recycle its slot (dropping it from the cache) and
-	// remove the root node.
-	h.pos = 0
-	h.bfree = append(h.bfree, bi)
-	if h.cacheOK[0] && h.cacheB[0] == bi {
-		h.cacheOK[0] = false
+	if q.mask == 0 {
+		return 0, false
 	}
-	if h.cacheOK[1] && h.cacheB[1] == bi {
-		h.cacheOK[1] = false
+	b := q.b[bits.TrailingZeros64(q.mask)]
+	t = b[0].t
+	for _, x := range b[1:] {
+		t = min(t, x.t)
 	}
-	n := len(s) - 1
-	e := s[n]
-	h.s = s[:n]
-	if n == 0 {
-		return ent
-	}
-	// Sift down from the root.
-	s = h.s
-	i := 0
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
+	return t, true
+}
+
+// pop removes and returns the first entry at t, which must be the queue's
+// minimum: the current instant while nowPending, else peek's result. Taking
+// it from the caller means the minimum is found once per clock advance.
+//
+//bgplint:hot
+func (q *eventQueue) pop(t Time) entry {
+	if q.head == len(q.b[0]) {
+		q.last = t
+		i := bits.TrailingZeros64(q.mask)
+		b := q.b[i]
+		q.mask &^= 1 << i
+		if len(b) == 1 {
+			// A lone entry is the minimum itself: no redistribution.
+			q.b[i] = b[:0]
+			return b[0].ent
 		}
-		// Find the smallest of up to four children.
-		min := first
-		m := s[first]
-		last := first + 4
-		if last > n {
-			last = n
+		// Redistribute into the empty buckets below i. Entries at t are
+		// compacted in place and the array becomes bucket 0, so a
+		// same-instant batch is scanned, not copied.
+		k := 0
+		for k < len(b) && b[k].t == t {
+			k++
 		}
-		for c := first + 1; c < last; c++ {
-			x := s[c]
-			if x.t < m.t || (x.t == m.t && x.seq < m.seq) {
-				min, m = c, x
+		for _, x := range b[k:] {
+			if x.t == t {
+				b[k] = x
+				k++
+				continue
 			}
+			j := bits.Len64(uint64(x.t ^ t))
+			q.b[j] = append(q.b[j], x)
+			q.mask |= 1 << j
 		}
-		if e.t < m.t || (e.t == m.t && e.seq < m.seq) {
-			break
-		}
-		s[i] = m
-		i = min
+		q.b[0], q.b[i] = b[:k], q.b[0][:0]
 	}
-	s[i] = e
+	b0 := q.b[0]
+	ent := b0[q.head].ent
+	if q.head++; q.head == len(b0) {
+		q.b[0], q.head = b0[:0], 0
+	}
 	return ent
 }
 
-// reset rewinds the heap for kernel reuse, rebuilding the batch freelist so
-// a reused heap assigns batch slots in the same order a fresh one would.
-func (h *eventHeap) reset() {
-	h.s = h.s[:0]
-	h.seq = 0
-	h.pos = 0
-	h.cacheOK[0], h.cacheOK[1] = false, false
-	h.cacheLRU = 0
-	h.bfree = h.bfree[:0]
-	for i := len(h.buckets) - 1; i >= 0; i-- {
-		h.buckets[i] = h.buckets[i][:0]
-		h.bfree = append(h.bfree, int32(i))
+// drain appends every pending entry to dst in exact pop order and returns
+// the extended slice, leaving the queue untouched. Buckets cover increasing
+// disjoint ranges, so a stable sort of each bucket by time is the order.
+func (q *eventQueue) drain(dst []timed) []timed {
+	dst = append(dst, q.b[0][q.head:]...)
+	for m := q.mask; m != 0; m &= m - 1 {
+		n := len(dst)
+		dst = append(dst, q.b[bits.TrailingZeros64(m)]...)
+		slices.SortStableFunc(dst[n:], func(a, b timed) int { return cmp.Compare(a.t, b.t) })
 	}
+	return dst
 }
 
-// shiftAll moves every pending node (and the batch cache's timestamps) by d:
-// the uniform time shift of a steady-state Forward. Relative order is
-// untouched.
-func (h *eventHeap) shiftAll(d Time) {
-	s := h.s
-	for i := range s {
-		s[i].t += d
+// reset empties the queue for kernel reuse, keeping bucket capacity.
+func (q *eventQueue) reset() {
+	for i := range q.b {
+		q.b[i] = q.b[i][:0]
 	}
-	if h.cacheOK[0] {
-		h.cacheT[0] += d
-	}
-	if h.cacheOK[1] {
-		h.cacheT[1] += d
+	q.last, q.head, q.mask = 0, 0, 0
+}
+
+// shiftAll moves every pending entry and last by d: the uniform time shift
+// of a steady-state Forward. Bucket placement is not shift-invariant, so the
+// entries are re-pushed in drain order, which keeps their relative order.
+func (q *eventQueue) shiftAll(d Time) {
+	pending := q.drain(nil)
+	last := q.last
+	q.reset()
+	q.last = last + d
+	for _, x := range pending {
+		q.push(x.t+d, x.ent)
 	}
 }

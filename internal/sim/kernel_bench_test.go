@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
 
 // Kernel microbenchmarks. These measure the raw event-scheduling machinery —
 // the denominator of every figure regeneration — in events (or yields) per
@@ -50,6 +54,56 @@ func BenchmarkAtFuture(b *testing.B) {
 		if err := k.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAtHold measures the event queue under the pending-set shape of
+// the paper sweep, which BenchmarkAtFuture's strictly increasing stamps do
+// not represent: a hold model keeps about 6k future events whose delays are
+// log-uniform over 2^17–2^26 ps, and one fired event in 1400 also schedules
+// a same-instant batch of 1k–4k entries (a collective phase waking a whole
+// tree level). ns/op is per fired event, batch entries included.
+func BenchmarkAtHold(b *testing.B) {
+	const (
+		pending    = 6144
+		batchEvery = 1400
+	)
+	rng := rand.New(rand.NewSource(1))
+	logDelay := func() Time { return Time(math.Exp2(17 + 9*rng.Float64())) }
+	var delays [4096]Time
+	for i := range delays {
+		delays[i] = logDelay()
+	}
+	k := New()
+	fired, singles := 0, 0
+	count := func() bool {
+		if fired++; fired == b.N {
+			b.StopTimer()
+		}
+		return fired < b.N
+	}
+	nop := func() { count() }
+	var hold func()
+	hold = func() {
+		if !count() {
+			return
+		}
+		singles++
+		k.After(delays[singles&(len(delays)-1)], hold)
+		if singles%batchEvery == 0 {
+			at := k.Now() + delays[(singles/batchEvery)&(len(delays)-1)]
+			for n := 1024 + (singles/batchEvery*977)%3072; n > 0; n-- {
+				k.At(at, nop)
+			}
+		}
+	}
+	for i := 0; i < pending; i++ {
+		k.After(logDelay(), hold)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
 	}
 }
 
