@@ -225,6 +225,7 @@ func MeasureBcastRun(cfg hw.Config, algo string, msg, iters int, mode RunMode) (
 		ext.attach(l)
 		l.iter()
 	})
+	ext.close()
 	releaseWorld(cfg, w, err)
 	return maxTime(worsts), err
 }
@@ -349,6 +350,7 @@ func MeasureAllreduceRun(cfg hw.Config, algo string, doubles, iters int, mode Ru
 		ext.attach(l)
 		l.iter()
 	})
+	ext.close()
 	releaseWorld(cfg, w, err)
 	return maxTime(worsts), err
 }

@@ -108,6 +108,14 @@ func (x *extrapolator) boundary() {
 	x.done = true
 }
 
+// close ends the measurement: the detector's fingerprint buffers go back to
+// the kernel for the next measurement on the pooled world.
+func (x *extrapolator) close() {
+	if x != nil {
+		x.det.Release()
+	}
+}
+
 // extrapolatedIters counts iterations skipped by extrapolation across the
 // process, for the serve /metrics endpoint.
 var extrapolatedIters atomic.Int64

@@ -81,6 +81,7 @@ func measureBcastOn(w *mpi.World, algo string, msg, iters int, mode RunMode) (si
 		ext.attach(l)
 		l.iter()
 	})
+	ext.close()
 	return maxTime(worsts), err
 }
 
@@ -102,6 +103,7 @@ func measureBarrierOn(w *mpi.World, iters int, mode RunMode) (sim.Time, error) {
 		ext.attach(l)
 		l.iter()
 	})
+	ext.close()
 	return maxTime(worsts), err
 }
 

@@ -102,6 +102,10 @@ type Kernel struct {
 
 	// mergeBuf is the epoch controller's reusable mailbox merge scratch.
 	mergeBuf []xmsg
+
+	// fpFree holds the fingerprint slots a finished steady-state detector
+	// released for the next one (Steady.Release); all nil until then.
+	fpFree [maxSteadyPeriod + 1]*FP
 }
 
 // New returns a kernel with the clock at zero and a single root shard.

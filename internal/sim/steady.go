@@ -530,6 +530,15 @@ const maxSteadyAttempts = 16
 func NewSteady(k *Kernel, extra func(*FP)) *Steady {
 	n := len(k.pipes)
 	s := &Steady{k: k, extra: extra}
+	if k.fpFree[0] != nil {
+		// Reuse the slots (and their shared intern state) a finished
+		// detector released; every capture rewinds its slot first.
+		s.hist, k.fpFree = k.fpFree, s.hist
+		for _, f := range s.hist {
+			f.nBasePipes = n
+		}
+		return s
+	}
 	in := newFPIntern()
 	for i := range s.hist {
 		s.hist[i] = newFP(n, in)
@@ -589,6 +598,16 @@ func (s *Steady) Capture() bool {
 	}
 	s.attempts++
 	return false
+}
+
+// Release hands the detector's fingerprint slots to the next detector
+// created on the same kernel; the detector must not be used afterwards. A
+// rack-scale capture is megabytes and every measurement builds a fresh
+// detector, so without reuse each one regrows its slots' buffers —
+// allocation that costs extra GC cycles in the extrapolated cells.
+func (s *Steady) Release() {
+	s.k.fpFree, s.hist = s.hist, [maxSteadyPeriod + 1]*FP{}
+	s.matched = nil
 }
 
 // GaveUp reports that the detector exhausted its attempt budget without

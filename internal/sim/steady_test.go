@@ -10,8 +10,8 @@ import (
 // and the first process released from each round's barrier drives a Steady
 // detector exactly the way internal/bench's extrapolator does. The work is
 // a shared-pipe transfer plus a deferred counter add whose eAdd entry is
-// still pending in the heap at the boundary, so captures exercise ring
-// entries, heap entries and live plan/wait state together.
+// still pending in the event queue at the boundary, so captures exercise
+// ring entries, queue entries and live plan/wait state together.
 type steadyRig struct {
 	t    *testing.T
 	kern *Kernel
@@ -26,7 +26,7 @@ type steadyRig struct {
 	work     func(round int) int
 	noExtrap bool
 	// bgDelay is the deferred add's horizon: longer than one round but
-	// shorter than two, so every boundary sees exactly one pending heap
+	// shorter than two, so every boundary sees exactly one pending queued
 	// eAdd at a constant relative offset.
 	bgDelay Time
 
@@ -53,7 +53,11 @@ type steadyLoop struct {
 const rigBarLat = Time(1500)
 
 func newSteadyRig(t *testing.T, n, iters int, work func(round int) int, noExtrap bool) *steadyRig {
-	k := New()
+	return newSteadyRigOn(t, New(), n, iters, work, noExtrap)
+}
+
+// newSteadyRigOn builds the rig on an existing (fresh or Reset) kernel.
+func newSteadyRigOn(t *testing.T, k *Kernel, n, iters int, work func(round int) int, noExtrap bool) *steadyRig {
 	k.SetNoExtrap(noExtrap)
 	r := &steadyRig{t: t, kern: k, n: n, iters: iters, work: work, noExtrap: noExtrap}
 	// One steady round: n serialized transfers on the shared pipe (1 ps/byte,
@@ -102,7 +106,7 @@ func (l *steadyLoop) afterBarrier() {
 	r.boundary()
 	l.start = l.p.Now()
 	if l.id == 0 {
-		// A deferred add outliving this round: a pending heap eAdd at every
+		// A deferred add outliving this round: a pending queued eAdd at every
 		// boundary, on a per-round counter so its content is round-invariant.
 		r.kern.AddAt(l.p.Now()+r.bgDelay, r.kern.NewCounter("rig.bg"), 7)
 	}
@@ -313,6 +317,33 @@ func TestSteadyResetReuse(t *testing.T) {
 	}
 	if got, want := rerun(a.kern), rerun(b.kern); got != want {
 		t.Fatalf("post-reset run after extrapolation %q, after full execution %q", got, want)
+	}
+}
+
+// TestSteadyReleaseReuse pins slot recycling: the next detector on a kernel
+// takes the slots a finished one released, and detects and extrapolates
+// exactly as a detector with fresh slots does.
+func TestSteadyReleaseReuse(t *testing.T) {
+	work := func(round int) int { return 4096 + 1024*(round%2) }
+	first := newSteadyRig(t, 4, 41, work, false)
+	first.run()
+	slots := first.det.hist
+	first.det.Release()
+	first.kern.Reset()
+
+	reused := newSteadyRigOn(t, first.kern, 4, 41, work, false)
+	if reused.det.hist != slots {
+		t.Fatal("detector on the same kernel did not take the released slots")
+	}
+	reused.run()
+	fresh := newSteadyRig(t, 4, 41, work, false)
+	fresh.run()
+	if reused.skipped == 0 || reused.skipped != fresh.skipped || reused.det.Period() != fresh.det.Period() {
+		t.Fatalf("reused slots: skipped %d period %d; fresh slots: skipped %d period %d",
+			reused.skipped, reused.det.Period(), fresh.skipped, fresh.det.Period())
+	}
+	if got, want := reused.state(), fresh.state(); got != want {
+		t.Fatalf("reused-slot end state\n %s\nfresh-slot end state\n %s", got, want)
 	}
 }
 
