@@ -9,8 +9,6 @@
 //	bgpbench -noextrap           # execute every iteration; no steady-state extrapolation
 //	bgpbench -par 1              # serial sweep (default: GOMAXPROCS workers)
 //	bgpbench -reference          # goroutine reference mode (same virtual times)
-//	bgpbench -shards 4           # sharded kernels: parallel epochs inside each run
-//	bgpbench -shards 4 -noshard  # same partition, sequential-epoch vehicle
 //	bgpbench -benchjson BENCH_SIM.json   # record per-figure wall-clock
 //	bgpbench -cpuprofile cpu.pprof       # profile the run
 package main
@@ -42,13 +40,6 @@ type benchReport struct {
 	Workers    int  `json:"workers"`
 	Quick      bool `json:"quick"`
 	Reference  bool `json:"reference,omitempty"`
-	// Shards and NoShard identify the kernel execution vehicle: how many
-	// shards each collective-network partition was split into (0 = classic
-	// single-shard kernels) and whether sharded epochs ran sequentially.
-	// Virtual times are identical across vehicles, wall-clocks are not, so
-	// benchdiff refuses to read a cross-vehicle comparison as a code change.
-	Shards  int  `json:"shards,omitempty"`
-	NoShard bool `json:"noshard,omitempty"`
 	// GOGC and GOMemLimit are the effective GC tuning for the run — whatever
 	// -gogc/-gomemlimit or the environment resolved to — so a stored report's
 	// wall-clocks and memstats are attributable to a GC configuration.
@@ -138,8 +129,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	par := flag.Int("par", 0, "sweep worker count: cells fan across this many goroutines (0 = GOMAXPROCS, 1 = serial)")
 	reference := flag.Bool("reference", false, "run kernels in noProgram reference mode (rank bodies on pooled goroutines); virtual times are identical, only wall-clock differs")
-	shards := flag.Int("shards", 0, "split each collective-network partition into this many kernel shards with parallel epochs (0 = single-shard; torus experiments always run single-shard)")
-	noShard := flag.Bool("noshard", false, "run sharded kernels in the sequential-epoch reference vehicle (only meaningful with -shards > 1); virtual times are identical, only wall-clock differs")
 	gogc := flag.Int("gogc", 0, "set the GC target percentage for the run (0 = leave GOGC as inherited); the effective value is stamped into -benchjson")
 	gomemlimit := flag.Int64("gomemlimit", 0, "set the soft memory limit in bytes for the run (0 = leave GOMEMLIMIT as inherited); the effective value is stamped into -benchjson")
 	benchJSON := flag.String("benchjson", "", "write per-experiment wall-clock times to this JSON file (BENCH_SIM.json)")
@@ -148,7 +137,7 @@ func main() {
 	flag.Parse()
 
 	coll.Register()
-	opts := bench.Options{Racks: *racks, Iters: *iters, ItersScale: *itersScale, Quick: *quick, Workers: *par, Reference: *reference, Shards: *shards, NoShard: *noShard, NoExtrap: *noExtrap}
+	opts := bench.Options{Racks: *racks, Iters: *iters, ItersScale: *itersScale, Quick: *quick, Workers: *par, Reference: *reference, NoExtrap: *noExtrap}
 
 	// Apply GC tuning first, then read back the effective values: the
 	// setters return the previous setting, so a set-and-restore probe reports
@@ -190,8 +179,6 @@ func main() {
 		Workers:    workers,
 		Quick:      *quick,
 		Reference:  *reference,
-		Shards:     *shards,
-		NoShard:    *noShard,
 		ItersScale: *itersScale,
 		NoExtrap:   *noExtrap,
 		GOGC:       effGOGC,

@@ -26,9 +26,20 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"bgpcoll/internal/coll"
 	"bgpcoll/internal/serve"
+)
+
+// Connection timeouts, so a slow or idle client cannot pin a connection:
+// request headers must arrive within readHeaderTimeout and the whole request
+// within readTimeout. There is deliberately no write timeout, because a
+// cold figure computes for seconds before its first response byte.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -57,7 +68,13 @@ func main() {
 		ClientCap: *perClient,
 		Reference: *reference,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	// Serve until SIGINT/SIGTERM, then stop the listener, join the worker
 	// pool, and persist the store.

@@ -36,16 +36,6 @@ type Options struct {
 	// execute on pooled goroutines instead of as inline programs. Virtual
 	// times are bit-identical either way; only wall-clock differs.
 	Reference bool
-	// Shards splits each collective-network partition into this many kernel
-	// shards whose epochs run in parallel (0 or 1 = classic single-shard
-	// runs). Virtual times are bit-identical either way; only wall-clock
-	// differs. The torus experiments ignore it: their collectives coordinate
-	// through job-wide shared state and are not shard-capable.
-	Shards int
-	// NoShard runs sharded kernels in the sequential-epoch reference vehicle
-	// (same window/mailbox algorithm, no goroutines). Meaningful only with
-	// Shards > 1; exists for overhead attribution and race-free baselines.
-	NoShard bool
 	// NoExtrap disables steady-state iteration extrapolation: every measure
 	// loop executes all of its iterations literally (the reference mode the
 	// extrapolation equivalence gates compare against). Results are
@@ -186,10 +176,6 @@ type RunMode struct {
 	// Reference puts the kernel in noProgram mode: rank bodies run on
 	// pooled goroutines instead of as inline programs.
 	Reference bool
-	// NoShard runs a sharded kernel's epochs sequentially on the calling
-	// goroutine instead of on per-shard workers. Ignored on single-shard
-	// configs.
-	NoShard bool
 	// NoExtrap runs every measure-loop iteration literally instead of
 	// extrapolating from the detected steady state (see extrap.go).
 	NoExtrap bool
@@ -210,37 +196,9 @@ func MeasureBcastRun(cfg hw.Config, algo string, msg, iters int, mode RunMode) (
 	if err != nil {
 		return 0, err
 	}
-	w.Tunables.Bcast = algo
-	w.M.K.SetNoProgram(mode.Reference || !mpi.HasProgBcast(algo))
-	w.M.K.SetNoShard(mode.NoShard)
-	w.M.K.SetNoExtrap(mode.NoExtrap)
-	ext := newExtrapolator(w, iters, mode.NoExtrap)
-	worsts := make([]sim.Time, w.M.K.ShardCount())
-	loops := make([]measureLoop, w.Size())
-	_, err = w.RunProgram(func(r *mpi.Rank) {
-		l := &loops[r.Rank()]
-		l.r, l.buf, l.iters, l.worst = r, r.NewBuf(msg), iters, &worsts[r.Shard().ID()]
-		l.afterBarrierFn = l.bcastAfterBarrier
-		l.afterOpFn = l.afterOp
-		ext.attach(l)
-		l.iter()
-	})
-	ext.close()
+	t, err := measureBcastOn(w, algo, msg, iters, mode)
 	releaseWorld(cfg, w, err)
-	return maxTime(worsts), err
-}
-
-// maxTime folds per-shard worst-rank slots into the global worst. Each slot
-// is written only under its shard's token during the run; the fold happens
-// after Run returns, when every worker has quiesced.
-func maxTime(ts []sim.Time) sim.Time {
-	var worst sim.Time
-	for _, t := range ts {
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
+	return t, err
 }
 
 // measureLoop is the Fig. 5 micro-benchmark loop (barrier; time one
@@ -259,7 +217,7 @@ type measureLoop struct {
 	i          int
 	elapsed    sim.Time
 	start      sim.Time
-	worst      *sim.Time     // this shard's slot, shared across its ranks; the shard token serializes access
+	worst      *sim.Time     // the measurement's slowest-rank average, shared by every rank
 	ext        *extrapolator // steady-state detector, nil when extrapolation is off
 
 	afterBarrierFn func()
@@ -336,15 +294,14 @@ func MeasureAllreduceRun(cfg hw.Config, algo string, doubles, iters int, mode Ru
 	}
 	w.Tunables.Allreduce = algo
 	w.M.K.SetNoProgram(mode.Reference || !mpi.HasProgAllreduce(algo))
-	w.M.K.SetNoShard(mode.NoShard)
 	w.M.K.SetNoExtrap(mode.NoExtrap)
 	ext := newExtrapolator(w, iters, mode.NoExtrap)
 	bytes := doubles * data.Float64Len
-	worsts := make([]sim.Time, w.M.K.ShardCount())
+	var worst sim.Time
 	loops := make([]measureLoop, w.Size())
 	_, err = w.RunProgram(func(r *mpi.Rank) {
 		l := &loops[r.Rank()]
-		l.r, l.send, l.recv, l.iters, l.worst = r, r.NewBuf(bytes), r.NewBuf(bytes), iters, &worsts[r.Shard().ID()]
+		l.r, l.send, l.recv, l.iters, l.worst = r, r.NewBuf(bytes), r.NewBuf(bytes), iters, &worst
 		l.afterBarrierFn = l.allreduceAfterBarrier
 		l.afterOpFn = l.afterOp
 		ext.attach(l)
@@ -352,7 +309,7 @@ func MeasureAllreduceRun(cfg hw.Config, algo string, doubles, iters int, mode Ru
 	})
 	ext.close()
 	releaseWorld(cfg, w, err)
-	return maxTime(worsts), err
+	return worst, err
 }
 
 // BandwidthMBs converts a message size and per-operation time to the
@@ -364,8 +321,7 @@ func BandwidthMBs(msg int, t sim.Time) float64 {
 	return float64(msg) / t.Seconds() / 1e6
 }
 
-// treeConfig returns the collective-network experiment partition, sharded
-// per Options (the tree broadcast family is shard-capable).
+// treeConfig returns the collective-network experiment partition.
 func treeConfig(o Options, mode hw.Mode) (hw.Config, error) {
 	racks := o.Racks
 	if racks == 0 {
@@ -376,24 +332,19 @@ func treeConfig(o Options, mode hw.Mode) (hw.Config, error) {
 		return cfg, err
 	}
 	cfg.Mode = mode
-	cfg.Shards = o.Shards
 	return cfg, nil
 }
 
 // torusConfig returns the torus experiment partition: a 512-node midplane by
 // default (steady-state torus bandwidth is scale-insensitive; see DESIGN.md),
-// or full racks when requested. Torus collectives coordinate through
-// job-wide shared state and are not shard-capable, so the partition is
-// always single-shard regardless of Options.Shards.
+// or full racks when requested.
 func torusConfig(o Options, mode hw.Mode) (hw.Config, error) {
 	if o.Racks == 0 {
 		cfg := hw.MidplaneConfig()
 		cfg.Mode = mode
 		return cfg, nil
 	}
-	cfg, err := treeConfig(o, mode)
-	cfg.Shards = 0
-	return cfg, err
+	return treeConfig(o, mode)
 }
 
 // sweep trims a full message-size list for quick runs, always retaining the

@@ -155,7 +155,7 @@ func PlanExperiment(id string, o Options) (*FigurePlan, error) {
 // the figure; values land in fixed (series, size) slots regardless of
 // completion order.
 func runPlan(o Options, p *FigurePlan) (*Figure, error) {
-	mode := RunMode{Reference: o.Reference, NoShard: o.NoShard, NoExtrap: o.NoExtrap}
+	mode := RunMode{Reference: o.Reference, NoExtrap: o.NoExtrap}
 	times := make([]sim.Time, len(p.Cells))
 	err := parallelEach(o.Workers, len(p.Cells), func(i int) error {
 		t, err := p.Cells[i].Run(mode)

@@ -34,9 +34,9 @@ type extrapolator struct {
 
 // newExtrapolator returns a controller for one measurement on w, or nil when
 // extrapolation cannot apply: the reference mode asked for full execution,
-// the loop is too short to amortize a fingerprint, the kernel is sharded, or
-// a trace is attached (extrapolated iterations emit no trace records, so
-// tracing runs execute fully).
+// the loop is too short to amortize a fingerprint, or a trace is attached
+// (extrapolated iterations emit no trace records, so tracing runs execute
+// fully).
 //
 // The iteration floor is an economics gate, not a correctness one. A
 // detection needs two matching boundaries, and the first iteration is warmed
@@ -47,7 +47,7 @@ type extrapolator struct {
 // warmup-then-periodic shape profits; short default loops execute fully and
 // the -iters-scale fidelity mode clears the gate everywhere.
 func newExtrapolator(w *mpi.World, iters int, noExtrap bool) *extrapolator {
-	if noExtrap || iters < 4 || w.M.K.Sharded() || w.M.Trace != nil {
+	if noExtrap || iters < 4 || w.M.Trace != nil {
 		return nil
 	}
 	x := &extrapolator{iters: iters}

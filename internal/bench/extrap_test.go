@@ -31,6 +31,9 @@ func extrapCases() []struct {
 		{"bcast/dmafifo/64K x8", func(m RunMode) (sim.Time, error) {
 			return MeasureBcastRun(quad, mpi.BcastTreeDMAFIFO, 64<<10, 8, m)
 		}},
+		{"bcast/dmadirect/64K x8", func(m RunMode) (sim.Time, error) {
+			return MeasureBcastRun(quad, mpi.BcastTreeDMADirect, 64<<10, 8, m)
+		}},
 		{"bcast/smp/4K x8", func(m RunMode) (sim.Time, error) {
 			return MeasureBcastRun(smp, mpi.BcastTreeSMP, 4<<10, 8, m)
 		}},

@@ -51,10 +51,7 @@ func scalePoints(quick bool) []scalePoint {
 }
 
 // scaleConfig is the partition for one capacity point: quad mode, phantom
-// buffers, single shard. The sweep always runs single-shard because growth
-// is measured through Reconfigure, which only single-shard worlds support
-// (the shard partition is fixed at kernel construction); Options.Shards is
-// ignored like the torus experiments ignore it.
+// buffers.
 func scaleConfig(p scalePoint) hw.Config {
 	cfg := hw.DefaultConfig()
 	cfg.Torus.DX, cfg.Torus.DY, cfg.Torus.DZ = p.torus[0], p.torus[1], p.torus[2]
@@ -64,25 +61,25 @@ func scaleConfig(p scalePoint) hw.Config {
 }
 
 // measureBcastOn runs the Fig. 5 loop for one broadcast on an already-built
-// world, bypassing the world pool: figS owns its worlds so that construction
-// and footprint are attributable per point.
+// world. MeasureBcastRun leases that world from the pool; figS owns its
+// worlds so that construction and footprint are attributable per point.
 func measureBcastOn(w *mpi.World, algo string, msg, iters int, mode RunMode) (sim.Time, error) {
 	w.Tunables.Bcast = algo
 	w.M.K.SetNoProgram(mode.Reference || !mpi.HasProgBcast(algo))
 	w.M.K.SetNoExtrap(mode.NoExtrap)
 	ext := newExtrapolator(w, iters, mode.NoExtrap)
-	worsts := make([]sim.Time, w.M.K.ShardCount())
+	var worst sim.Time
 	loops := make([]measureLoop, w.Size())
 	_, err := w.RunProgram(func(r *mpi.Rank) {
 		l := &loops[r.Rank()]
-		l.r, l.buf, l.iters, l.worst = r, r.NewBuf(msg), iters, &worsts[r.Shard().ID()]
+		l.r, l.buf, l.iters, l.worst = r, r.NewBuf(msg), iters, &worst
 		l.afterBarrierFn = l.bcastAfterBarrier
 		l.afterOpFn = l.afterOp
 		ext.attach(l)
 		l.iter()
 	})
 	ext.close()
-	return maxTime(worsts), err
+	return worst, err
 }
 
 // measureBarrierOn runs the loop with MPI_Barrier itself as the timed
@@ -93,18 +90,18 @@ func measureBarrierOn(w *mpi.World, iters int, mode RunMode) (sim.Time, error) {
 	w.M.K.SetNoProgram(mode.Reference)
 	w.M.K.SetNoExtrap(mode.NoExtrap)
 	ext := newExtrapolator(w, iters, mode.NoExtrap)
-	worsts := make([]sim.Time, w.M.K.ShardCount())
+	var worst sim.Time
 	loops := make([]measureLoop, w.Size())
 	_, err := w.RunProgram(func(r *mpi.Rank) {
 		l := &loops[r.Rank()]
-		l.r, l.iters, l.worst = r, iters, &worsts[r.Shard().ID()]
+		l.r, l.iters, l.worst = r, iters, &worst
 		l.afterBarrierFn = l.barrierAfterBarrier
 		l.afterOpFn = l.afterOp
 		ext.attach(l)
 		l.iter()
 	})
 	ext.close()
-	return maxTime(worsts), err
+	return worst, err
 }
 
 // scaleCell is everything figS reports about one partition size.

@@ -171,7 +171,6 @@ func planFig9(o Options) (*FigurePlan, error) {
 		cfg.Torus.DX, cfg.Torus.DY, cfg.Torus.DZ = g.torus[0], g.torus[1], g.torus[2]
 		cfg.Mode = hw.Quad
 		cfg.Functional = false
-		cfg.Shards = o.Shards
 		rows[i] = bcastRow{fmt.Sprintf("CollectiveNetwork+Shaddr(%d)", g.ranks), cfg, mpi.BcastTreeShaddr}
 	}
 	return bcastPlan("fig9", Figure{

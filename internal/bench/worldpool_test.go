@@ -185,7 +185,7 @@ func TestWorldPoolParallelSweep(t *testing.T) {
 }
 
 // TestPoolCrossConfigLeasing interleaves measurements over distinct
-// single-shard configurations through the shared pool on the sweep runner's
+// configurations through the shared pool on the sweep runner's
 // workers. Every lease resolves one of three ways — an exact hit, a donor of
 // a different configuration grown in place with Reconfigure, or a fresh
 // construction — and all three must measure bit-identically to a world built

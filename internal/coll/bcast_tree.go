@@ -22,22 +22,13 @@ import (
 // delivery, modeling the collective network's limited buffering.
 const injectWindow = 4
 
-// treeBcastState is the shared state of one collective-network broadcast.
-// On a classic world it is job-wide: the per-chunk combine operations plus
-// every node's intra-node counters. On a sharded world it is node-wide
-// (NodeShared): the per-node arrays hold exactly one slot (base = the node
-// id) created on the node's own shard, and the combine protocol runs through
-// a hub-shard stream instead of the per-chunk Op events — waiting on chunk
-// i's delivery becomes waiting for the node-local delivered-chunk counter to
-// reach i+1. The wait/inject helpers below hide the difference from the
-// chunk loops, and the single-shard branch of each is byte-for-byte the
-// pre-sharding protocol.
+// treeBcastState is the job-wide shared state of one collective-network
+// broadcast: the per-chunk combine operations plus every node's intra-node
+// counters.
 type treeBcastState struct {
-	src    data.Buf
-	spans  []hw.Span
-	ops    []*tree.Op   // single-shard: per-chunk combines
-	stream *tree.Stream // sharded: this node's hub stream (nil otherwise)
-	base   int          // node id of slot 0 in the per-node arrays
+	src   data.Buf
+	spans []hw.Span
+	ops   []*tree.Op // per-chunk combines
 
 	sw    []*sim.Counter // per node: bytes received by the reception core
 	done  []*sim.Counter // per node: peers finished
@@ -50,11 +41,6 @@ type treeBcastState struct {
 const treeBcastKind = "bcast.tree"
 
 func getTreeBcastState(r *mpi.Rank, seq int64, total int) *treeBcastState {
-	if r.Sharded() {
-		return r.NodeShared(seq, treeBcastKind, func() any {
-			return newTreeBcastNodeState(r, seq, total)
-		}).(*treeBcastState)
-	}
 	return r.WorldShared(seq, treeBcastKind, func() any {
 		m := r.Machine()
 		nodes := m.Geom.Nodes()
@@ -86,98 +72,15 @@ func getTreeBcastState(r *mpi.Rank, seq int64, total int) *treeBcastState {
 	}).(*treeBcastState)
 }
 
-// newTreeBcastNodeState builds one node's share of a sharded broadcast:
-// every counter on the node's own shard, and a hub stream in place of the
-// combine ops.
-func newTreeBcastNodeState(r *mpi.Rank, seq int64, total int) *treeBcastState {
-	m := r.Machine()
-	sh := r.Shard()
-	node := r.NodeID()
-	ppn := r.LocalSize()
-	spans := m.Cfg.Params.Chunks(total)
-	st := &treeBcastState{
-		spans:  spans,
-		stream: m.Tree.NewStream(sh, seq, len(spans)),
-		base:   node,
-		sw:     make([]*sim.Counter, 1),
-		done:   make([]*sim.Counter, 1),
-		fill:   make([]*sim.Counter, 1),
-		peer:   make([][]*sim.Counter, 1),
-		rxBuf:  make([]data.Buf, 1),
-		r0Buf:  make([]data.Buf, 1),
-	}
-	st.sw[0] = sh.NewCounter(fmt.Sprintf("treebc%d.sw%d", seq, node))
-	st.done[0] = sh.NewCounter("done")
-	st.fill[0] = sh.NewCounter("fill")
-	st.peer[0] = make([]*sim.Counter, ppn)
-	for p := 1; p < ppn; p++ {
-		st.peer[0][p] = sh.NewCounter("peer")
-	}
-	return st
-}
-
-// Per-node accessors: slot n-base, so single-shard code indexes the full
-// arrays while sharded code reaches its node's only slot — and indexing any
-// other node's slot (a cross-shard bug) panics out of range.
-func (st *treeBcastState) swAt(n int) *sim.Counter      { return st.sw[n-st.base] }
-func (st *treeBcastState) doneAt(n int) *sim.Counter    { return st.done[n-st.base] }
-func (st *treeBcastState) fillAt(n int) *sim.Counter    { return st.fill[n-st.base] }
-func (st *treeBcastState) peerAt(n int) []*sim.Counter  { return st.peer[n-st.base] }
-func (st *treeBcastState) rxBufAt(n int) data.Buf       { return st.rxBuf[n-st.base] }
-func (st *treeBcastState) setRxBuf(n int, b data.Buf)   { st.rxBuf[n-st.base] = b }
-func (st *treeBcastState) r0BufAt(n int) data.Buf       { return st.r0Buf[n-st.base] }
-func (st *treeBcastState) setR0Buf(n int, b data.Buf)   { st.r0Buf[n-st.base] = b }
-
-// inject records the calling node's contribution to chunk i at the current
-// instant.
-//
-//bgplint:hot
-func (st *treeBcastState) inject(i int) {
-	if st.stream != nil {
-		st.stream.Inject(i, st.spans[i].Len)
-		return
-	}
-	st.ops[i].Inject()
-}
-
-// deliveredNow reports whether chunk i has already been delivered to the
-// calling node (the pump's opportunistic drain check).
-//
-//bgplint:hot
-func (st *treeBcastState) deliveredNow(i int) bool {
-	if st.stream != nil {
-		return st.stream.Delivered().Value() > int64(i)
-	}
-	return st.ops[i].Delivered().Fired()
-}
-
-// waitDelivered parks p behind chunk i's delivery to the calling node, runs
-// pl, then continues with cont.
-//
-//bgplint:hot
-func (st *treeBcastState) waitDelivered(p *sim.Proc, i int, pl *sim.Plan, cont func()) {
-	if st.stream != nil {
-		p.WaitGEPlanThen(st.stream.Delivered(), int64(i)+1, pl, cont)
-		return
-	}
-	p.WaitPlanThen(st.ops[i].Delivered(), pl, cont)
-}
-
 // treeFinish builds the completion continuation every tree broadcast ends
 // with: install the payload on non-root ranks, release the shared state (the
-// position the blocking form's defer ran at), then continue. On a sharded
-// world the payload install is vacuous (phantom buffers; st.src is set only
-// on the root's node) and the release is node-scoped.
+// position the blocking form's defer ran at), then continue.
 func treeFinish(r *mpi.Rank, st *treeBcastState, seq int64, buf data.Buf, root int, done func()) func() {
 	return func() {
 		if r.Rank() != root {
 			installPayload(buf, st.src)
 		}
-		if r.Sharded() {
-			r.ReleaseNodeShared(seq, treeBcastKind)
-		} else {
-			r.ReleaseWorldShared(seq, treeBcastKind)
-		}
+		r.ReleaseWorldShared(seq, treeBcastKind)
 		done()
 	}
 }
@@ -220,7 +123,7 @@ func (l *injectLoop) step() {
 	if l.i >= injectWindow {
 		pl := l.p.NewPlan()
 		pl.Sleep(touch)
-		l.st.waitDelivered(l.p, l.i-injectWindow, pl, l.afterFn)
+		l.p.WaitPlanThen(l.st.ops[l.i-injectWindow].Delivered(), pl, l.afterFn)
 	} else {
 		l.p.SleepThen(touch, l.afterFn)
 	}
@@ -228,7 +131,7 @@ func (l *injectLoop) step() {
 
 //bgplint:hot
 func (l *injectLoop) after() {
-	l.st.inject(l.i)
+	l.st.ops[l.i].Inject()
 	l.i++
 	l.step()
 }
@@ -248,7 +151,7 @@ type recvLoop struct {
 }
 
 func receiveAllThen(r *mpi.Rank, st *treeBcastState, cont func()) {
-	recvAllOn(r.Proc(), r.Machine().Tree, st, st.swAt(r.NodeID()), cont)
+	recvAllOn(r.Proc(), r.Machine().Tree, st, st.sw[r.NodeID()], cont)
 }
 
 // recvAllOn is receiveAllThen for an explicit process (the SMP helper runs
@@ -267,7 +170,7 @@ func (l *recvLoop) step() {
 	}
 	pl := l.p.NewPlan()
 	pl.Sleep(l.net.TouchTime(l.st.spans[l.i].Len))
-	l.st.waitDelivered(l.p, l.i, pl, l.afterFn)
+	l.p.WaitPlanThen(l.st.ops[l.i].Delivered(), pl, l.afterFn)
 }
 
 //bgplint:hot
@@ -339,7 +242,7 @@ func (m *masterPump) inject() {
 
 //bgplint:hot
 func (m *masterPump) afterInject() {
-	m.st.inject(m.injIdx)
+	m.st.ops[m.injIdx].Inject()
 	m.injIdx++
 	m.drain()
 }
@@ -349,7 +252,7 @@ func (m *masterPump) afterInject() {
 //
 //bgplint:hot
 func (m *masterPump) drain() {
-	if m.recvIdx < len(m.st.spans) && m.st.deliveredNow(m.recvIdx) {
+	if m.recvIdx < len(m.st.spans) && m.st.ops[m.recvIdx].Delivered().Fired() {
 		m.phase = pumpDrain
 		m.p.SleepThen(m.net.TouchTime(m.st.spans[m.recvIdx].Len), m.enterRecvFn)
 		return
@@ -375,7 +278,7 @@ func (m *masterPump) recvBlocked() {
 	i := m.recvIdx
 	pl := m.p.NewPlan()
 	pl.Sleep(m.net.TouchTime(m.st.spans[i].Len))
-	m.st.waitDelivered(m.p, i, pl, m.enterRecvFn)
+	m.p.WaitPlanThen(m.st.ops[i].Delivered(), pl, m.enterRecvFn)
 }
 
 //bgplint:hot
@@ -406,9 +309,9 @@ func bcastTreeSMP(r *mpi.Rank, buf data.Buf, root int, done func()) {
 	if r.Rank() == root {
 		st.src = buf
 	}
-	sh := r.Shard()
-	helperDone := sh.NewEvent(fmt.Sprintf("treebc%d.helper%d", seq, r.Rank()))
-	sh.SpawnProgram(fmt.Sprintf("rank%d.comm", r.Rank()), func(p *sim.Proc) {
+	k := r.Machine().K
+	helperDone := k.NewEvent(fmt.Sprintf("treebc%d.helper%d", seq, r.Rank()))
+	k.SpawnProgram(fmt.Sprintf("rank%d.comm", r.Rank()), func(p *sim.Proc) {
 		recvAllOn(p, r.Machine().Tree, st, nil, helperDone.Fire)
 	})
 	finish := treeFinish(r, st, seq, buf, root, done)
@@ -432,7 +335,7 @@ func bcastTreeShmem(r *mpi.Rank, buf data.Buf, root int, done func()) {
 	finish := treeFinish(r, st, seq, buf, root, done)
 
 	if r.IsNodeMaster() {
-		sw := st.swAt(node)
+		sw := st.sw[node]
 		masterPumpThen(r, st, func(i int, span hw.Span, k func()) {
 			sw.Add(int64(span.Len))
 			if r.Rank() != root {
@@ -467,7 +370,7 @@ type peerCopyLoop struct {
 func treePeerCopyThen(r *mpi.Rank, st *treeBcastState, root int, cached bool, cont func()) {
 	n := r.NodeID()
 	l := &peerCopyLoop{
-		st: st, sw: st.swAt(n), done: st.doneAt(n), p: r.Proc(), node: r.Node().HW,
+		st: st, sw: st.sw[n], done: st.done[n], p: r.Proc(), node: r.Node().HW,
 		isRoot: r.Rank() == root, cached: cached, cont: cont,
 	}
 	l.stepFn = l.step
@@ -525,13 +428,13 @@ func treeDMACommon(r *mpi.Rank, buf data.Buf, root int, fifo bool, done func()) 
 				// AddAt is the closure-free At(putDone, func() { cnt.Add(n) }):
 				// one scheduled add per (chunk, peer) was the sweep's single
 				// hottest allocation site.
-				m.K.AddAt(putDone, st.peerAt(node)[p], int64(span.Len))
+				m.K.AddAt(putDone, st.peer[node][p], int64(span.Len))
 			}
 			k()
 		}, finish)
 	} else {
 		l := &dmaPeerLoop{
-			st: st, cnt: st.peerAt(node)[r.LocalRank()], p: r.Proc(), node: r.Node().HW,
+			st: st, cnt: st.peer[node][r.LocalRank()], p: r.Proc(), node: r.Node().HW,
 			fifoCopy: fifo && r.Rank() != root, cached: cached, cont: finish,
 		}
 		l.stepFn = l.step
@@ -594,12 +497,12 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 
 	switch r.LocalRank() {
 	case 0: // injection process
-		st.setR0Buf(node, buf)
+		st.r0Buf[node] = buf
 		afterMap := func() {
 			injectAllThen(r, st, func() {
 				if r.Rank() != root {
 					// Wait for rank 2 to fill this buffer.
-					r.Proc().WaitGEThen(st.fillAt(node), int64(total), finish)
+					r.Proc().WaitGEThen(st.fill[node], int64(total), finish)
 					return
 				}
 				finish()
@@ -614,20 +517,20 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		}
 
 	case 1: // reception process: directly into its application buffer
-		st.setRxBuf(node, buf)
+		st.rxBuf[node] = buf
 		if r.LocalSize() == 2 {
 			// Dual mode has no dedicated copy processes: the reception
 			// process also fills the injector's buffer.
 			fillInjector := r.RankOf(node, 0) != root
 			l := &dualRecvLoop{
-				st: st, net: r.Machine().Tree, sw: st.swAt(node), fill: st.fillAt(node),
+				st: st, net: r.Machine().Tree, sw: st.sw[node], fill: st.fill[node],
 				p: r.Proc(), node: r.Node().HW,
 				fillInjector: fillInjector, cached: cached, cont: finish,
 			}
 			l.stepFn = l.step
 			l.afterFn = l.after
 			if fillInjector {
-				r.CNK().MapThen(r.Proc(), windowKey(0, st.r0BufAt(node)), total, l.stepFn)
+				r.CNK().MapThen(r.Proc(), windowKey(0, st.r0Buf[node]), total, l.stepFn)
 			} else {
 				l.step()
 			}
@@ -636,19 +539,19 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		receiveAllThen(r, st, finish)
 
 	case 2: // copy process, also responsible for the injector's buffer
-		sw := st.swAt(node)
+		sw := st.sw[node]
 		r.Proc().WaitGEThen(sw, 1, func() {
-			r.CNK().MapThen(r.Proc(), windowKey(1, st.rxBufAt(node)), total, func() {
+			r.CNK().MapThen(r.Proc(), windowKey(1, st.rxBuf[node]), total, func() {
 				fillInjector := r.RankOf(node, 0) != root
 				l := &shaddrCopyLoop{
-					st: st, sw: sw, done: st.doneAt(node), fill: st.fillAt(node),
+					st: st, sw: sw, done: st.done[node], fill: st.fill[node],
 					p: r.Proc(), node: r.Node().HW,
 					isRoot: r.Rank() == root, fillInjector: fillInjector,
 					cached: cached, cont: finish,
 				}
 				l.stepFn = l.step
 				if fillInjector {
-					r.CNK().MapThen(r.Proc(), windowKey(0, st.r0BufAt(node)), total, l.stepFn)
+					r.CNK().MapThen(r.Proc(), windowKey(0, st.r0Buf[node]), total, l.stepFn)
 				} else {
 					l.step()
 				}
@@ -656,9 +559,9 @@ func bcastTreeShaddr(r *mpi.Rank, buf data.Buf, root int, done func()) {
 		})
 
 	case 3: // copy process
-		sw := st.swAt(node)
+		sw := st.sw[node]
 		r.Proc().WaitGEThen(sw, 1, func() {
-			r.CNK().MapThen(r.Proc(), windowKey(1, st.rxBufAt(node)), total, func() {
+			r.CNK().MapThen(r.Proc(), windowKey(1, st.rxBuf[node]), total, func() {
 				treePeerCopyThen(r, st, root, cached, finish)
 			})
 		})
@@ -698,7 +601,7 @@ func (l *dualRecvLoop) step() {
 	if l.fillInjector {
 		l.node.PlanCopy(pl, span.Len, l.cached)
 	}
-	l.st.waitDelivered(l.p, l.i, pl, l.afterFn)
+	l.p.WaitPlanThen(l.st.ops[l.i].Delivered(), pl, l.afterFn)
 }
 
 //bgplint:hot

@@ -28,23 +28,16 @@ import (
 // not two allocations, per engine.
 type Engine struct {
 	node *hw.Node
-	sh   *sim.Shard
+	k    *sim.Kernel
 	pipe sim.Pipe
 }
 
-// New creates the engine for node n on the kernel's root shard.
+// New creates the engine for node n. Standalone construction registers the
+// pipe immediately; partitions use Init over a dense slab instead.
 func New(k *sim.Kernel, n *hw.Node) *Engine {
-	return NewOn(k.RootShard(), n)
-}
-
-// NewOn creates the engine for node n on the given shard, where its pipe,
-// counters, and completion callbacks all live. On a single-shard kernel the
-// root shard makes this identical to New. Standalone construction registers
-// the pipe immediately; partitions use Init over a dense slab instead.
-func NewOn(sh *sim.Shard, n *hw.Node) *Engine {
 	e := &Engine{}
-	Init(e, sh, n)
-	sh.Kernel().AdoptPipe(&e.pipe)
+	Init(e, k, n)
+	k.AdoptPipe(&e.pipe)
 	return e
 }
 
@@ -54,10 +47,10 @@ func NewOn(sh *sim.Shard, n *hw.Node) *Engine {
 // Pipe() with Kernel.AdoptPipe afterwards, serially.
 //
 //bgplint:hot
-func Init(e *Engine, sh *sim.Shard, n *hw.Node) {
+func Init(e *Engine, k *sim.Kernel, n *hw.Node) {
 	e.node = n
-	e.sh = sh
-	sh.InitPipe(&e.pipe, "node.dma", int32(n.ID), n.P.DMABps, 0)
+	e.k = k
+	k.InitPipe(&e.pipe, "node.dma", int32(n.ID), n.P.DMABps, 0)
 }
 
 // Pipe returns the engine's bandwidth pipe for kernel registration.
@@ -101,13 +94,13 @@ func (e *Engine) LocalCopy(start sim.Time, n int) sim.Time {
 // (the paper describes the mirror-image decrement formulation; counting up
 // simplifies thresholds without changing behaviour).
 func (e *Engine) NewCounter(name string) *sim.Counter {
-	return e.sh.NewCounter(fmt.Sprintf("node%d.dmacnt.%s", e.node.ID, name))
+	return e.k.NewCounter(fmt.Sprintf("node%d.dmacnt.%s", e.node.ID, name))
 }
 
 // CompleteInto schedules counter.Add(payload) at time t: the engine's
 // counter update when a chunk completes.
 func (e *Engine) CompleteInto(counter *sim.Counter, t sim.Time, payload int) {
-	e.sh.AddAt(t, counter, int64(payload))
+	e.k.AddAt(t, counter, int64(payload))
 }
 
 // Stats exposes the engine pipe's utilization counters.

@@ -57,22 +57,14 @@ type Node struct {
 	bus sim.Pipe
 }
 
-// NewNode creates a node with its memory bus on the kernel's root shard.
+// NewNode creates a node for standalone use (tests, single-node studies):
+// the node owns a private copy of p and its bus pipe is registered
+// immediately. Partitions use InitNode over a dense slab instead.
 func NewNode(k *sim.Kernel, id int, c geometry.Coord, p Params) *Node {
-	return NewNodeOn(k.RootShard(), id, c, p)
-}
-
-// NewNodeOn creates a node whose memory bus lives on the given shard, so the
-// node's local traffic is simulated entirely within that shard's windows. On
-// a single-shard kernel the root shard makes this identical to NewNode.
-// Standalone construction (tests, single-node studies): the node owns a
-// private copy of p and its bus pipe is registered immediately. Partitions
-// use InitNode over a dense slab instead.
-func NewNodeOn(sh *sim.Shard, id int, c geometry.Coord, p Params) *Node {
 	n := &Node{}
 	prm := p
-	InitNode(n, sh, id, c, &prm)
-	sh.Kernel().AdoptPipe(&n.bus)
+	InitNode(n, k, id, c, &prm)
+	k.AdoptPipe(&n.bus)
 	return n
 }
 
@@ -83,11 +75,11 @@ func NewNodeOn(sh *sim.Shard, id int, c geometry.Coord, p Params) *Node {
 // Kernel.AdoptPipe afterwards, serially.
 //
 //bgplint:hot
-func InitNode(n *Node, sh *sim.Shard, id int, c geometry.Coord, p *Params) {
+func InitNode(n *Node, k *sim.Kernel, id int, c geometry.Coord, p *Params) {
 	n.ID = id
 	n.Coord = c
 	n.P = p
-	sh.InitPipe(&n.bus, "node.bus", int32(id), p.BusBps, 0)
+	k.InitPipe(&n.bus, "node.bus", int32(id), p.BusBps, 0)
 	n.Bus = &n.bus
 }
 

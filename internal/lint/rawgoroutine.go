@@ -13,10 +13,6 @@ import (
 //     backing sim.Kernel.Spawn coroutines; a pooled worker only executes
 //     simulation code while holding the virtual-CPU token, and the kernel
 //     hands that token to exactly one goroutine at a time.
-//   - internal/sim/epoch.go: the sharded-kernel window workers run one
-//     shard's window per start-channel receive; the start send happens-
-//     before the window and the done receive happens-after it, so each
-//     shard's state stays single-threaded along the start/done chain.
 //   - internal/bench/parallel.go: the sweep runner fans whole, independent
 //     simulations (one kernel per cell, results merged in fixed cell order)
 //     across a worker pool; no simulation state crosses goroutines.
@@ -32,7 +28,7 @@ import (
 //     hosts the package's one test fan-out helper, so serve tests need no
 //     raw go statements.
 var sanctionedGoFiles = map[string][]string{
-	"bgpcoll/internal/sim":     {"pool.go", "epoch.go"},
+	"bgpcoll/internal/sim":     {"pool.go"},
 	"bgpcoll/internal/bench":   {"parallel.go", "heapsampler.go"},
 	"bgpcoll/internal/machine": {"build.go"},
 	"bgpcoll/internal/serve":   {"pool.go"},

@@ -17,9 +17,6 @@ func TestNewErrorPaths(t *testing.T) {
 		{"invalid mode", func(c *hw.Config) { c.Mode = hw.Mode(7) }},
 		{"zero torus dim", func(c *hw.Config) { c.Torus = geometry.Torus{DX: 0, DY: 1, DZ: 1} }},
 		{"too few TLB slots", func(c *hw.Config) { c.Params.TLBSlots = 1 }},
-		{"negative shards", func(c *hw.Config) { c.Shards = -1 }},
-		{"sharded functional buffers", func(c *hw.Config) { c.Shards = 2 }},
-		{"more shards than nodes", func(c *hw.Config) { c.Shards = 64; c.Functional = false }},
 	}
 	for _, tc := range cases {
 		cfg := hw.DefaultConfig()
@@ -94,9 +91,8 @@ func TestParallelConstructionStructure(t *testing.T) {
 	}
 }
 
-// TestReconfigureErrorPaths: Reconfigure must reject invalid targets and any
-// involvement of sharded partitions, and a rejected call must leave the
-// machine untouched and still reconfigurable.
+// TestReconfigureErrorPaths: Reconfigure must reject invalid targets, and a
+// rejected call must leave the machine untouched and still reconfigurable.
 func TestReconfigureErrorPaths(t *testing.T) {
 	m, err := New(hw.DefaultConfig())
 	if err != nil {
@@ -109,30 +105,16 @@ func TestReconfigureErrorPaths(t *testing.T) {
 		t.Fatal("invalid target config accepted")
 	}
 
-	sharded := hw.DefaultConfig()
-	sharded.Shards = 2
-	sharded.Functional = false
-	if err := m.Reconfigure(sharded); err == nil {
-		t.Fatal("sharded target accepted on a single-shard machine")
-	}
-
 	// A rejected Reconfigure is a no-op: the machine still reconfigures to a
 	// valid target afterwards.
 	next := hw.DefaultConfig()
 	next.Torus = geometry.Torus{DX: 2, DY: 2, DZ: 2}
 	next.Functional = false
 	if err := m.Reconfigure(next); err != nil {
-		t.Fatalf("valid Reconfigure after rejected ones: %v", err)
+		t.Fatalf("valid Reconfigure after a rejected one: %v", err)
 	}
 	if len(m.Nodes) != next.Nodes() {
 		t.Fatalf("reconfigured to %d nodes, want %d", len(m.Nodes), next.Nodes())
 	}
 
-	sm, err := New(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sm.Reconfigure(hw.DefaultConfig()); err == nil {
-		t.Fatal("Reconfigure accepted on a sharded machine")
-	}
 }

@@ -252,14 +252,14 @@ func TestSharedStateRendezvous(t *testing.T) {
 	w := newWorld(t, smallConfig())
 	_, err := w.Run(func(r *Rank) {
 		seq := r.NextSeq()
-		st := r.NodeShared(seq, "test", func() any { return new(int) }).(*int)
+		st := r.WorldShared(seq, "test", func() any { return new(int) }).(*int)
 		*st++
 		r.Proc().Sleep(sim.Microsecond)
-		if r.LocalRank() == 0 && *st != r.LocalSize() {
-			// All local ranks saw the same instance.
-			t.Errorf("node %d shared state = %d", r.NodeID(), *st)
+		if r.Rank() == 0 && *st != r.Size() {
+			// All ranks saw the same instance.
+			t.Errorf("shared state = %d, want %d", *st, r.Size())
 		}
-		r.ReleaseNodeShared(seq, "test")
+		r.ReleaseWorldShared(seq, "test")
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -54,14 +54,6 @@ func (r *Rank) World() *World { return r.w }
 // Machine returns the underlying machine.
 func (r *Rank) Machine() *machine.Machine { return r.w.M }
 
-// Sharded reports whether the world runs on a sharded kernel.
-func (r *Rank) Sharded() bool { return r.w.M.Sharded() }
-
-// Shard returns the kernel shard simulating this rank's node: the root shard
-// on a single-shard world, where every shard-level operation is identical to
-// its kernel-level counterpart.
-func (r *Rank) Shard() *sim.Shard { return r.w.M.ShardOf(r.nodeID) }
-
 // Node returns the rank's node devices.
 func (r *Rank) Node() *machine.Node { return r.node }
 
@@ -97,37 +89,19 @@ func (r *Rank) NextSeq() int64 {
 	return r.seq
 }
 
-// NodeShared returns this node's shared state for collective seq, created by
-// the first arriving local rank. Every local rank must call ReleaseNodeShared
-// when done with it.
-func (r *Rank) NodeShared(seq int64, kind string, create func() any) any {
-	return r.w.shared(r.nodeID, seq, kind, r.LocalSize(), create)
-}
-
-// ReleaseNodeShared drops the rank's reference from NodeShared state.
-func (r *Rank) ReleaseNodeShared(seq int64, kind string) {
-	r.w.release(r.nodeID, seq, kind)
-}
-
-// WorldShared returns job-wide shared state for collective seq; all ranks
-// must release it.
+// WorldShared returns job-wide shared state for collective seq, created by
+// the first arriving rank; all ranks must release it.
 func (r *Rank) WorldShared(seq int64, kind string, create func() any) any {
-	return r.w.shared(worldScope, seq, kind, r.Size(), create)
+	return r.w.shared(seq, kind, r.Size(), create)
 }
 
 // ReleaseWorldShared drops the rank's reference from WorldShared state.
 func (r *Rank) ReleaseWorldShared(seq int64, kind string) {
-	r.w.release(worldScope, seq, kind)
+	r.w.release(seq, kind)
 }
 
 // Barrier synchronizes all ranks over the global interrupt network.
 func (r *Rank) Barrier() {
-	if r.Sharded() {
-		st, seq := r.shardedBarrierArrive()
-		r.proc.WaitGE(st.release, 1)
-		r.ReleaseNodeShared(seq, "barrier")
-		return
-	}
 	seq := r.NextSeq()
 	st := r.WorldShared(seq, "barrier", func() any {
 		return &barrierState{ev: r.w.M.K.NewEvent(fmt.Sprintf("barrier%d", seq))}
@@ -150,12 +124,6 @@ func (r *Rank) Barrier() {
 // the largest single bench-side entry in the rack-scale sweep's allocation
 // profile.
 func (r *Rank) BarrierThen(done func()) {
-	if r.Sharded() {
-		st, seq := r.shardedBarrierArrive()
-		r.ReleaseNodeShared(seq, "barrier")
-		r.proc.WaitGEThen(st.release, 1, done)
-		return
-	}
 	seq := r.NextSeq()
 	st := r.WorldShared(seq, "barrier", func() any {
 		ev := r.w.M.K.NewEvent(fmt.Sprintf("barrier%d", seq))
@@ -174,34 +142,4 @@ func (r *Rank) BarrierThen(done func()) {
 type barrierState struct {
 	arrived int
 	ev      *sim.Event
-}
-
-// nodeBarrier is the node-local side of the sharded barrier: an arrival
-// count among the node's ranks and the release counter the hub bumps.
-type nodeBarrier struct {
-	arrived int
-	release *sim.Counter
-}
-
-// shardedBarrierArrive is the arrival half of the sharded barrier protocol:
-// count local arrivals on node-shared state, and let the node's last
-// arriving rank announce the node to the hub at its current instant
-// (peer-to-hub posts carry no lookahead, so the hub observes every node's
-// exact arrival time). The hub releases all nodes BarrierLatency after the
-// last arrival — the identical release instant to the single-shard
-// protocol, computed on the hub instead of the last rank's shard.
-func (r *Rank) shardedBarrierArrive() (*nodeBarrier, int64) {
-	seq := r.NextSeq()
-	st := r.NodeShared(seq, "barrier", func() any {
-		return &nodeBarrier{
-			release: r.Shard().NewCounter(fmt.Sprintf("barrier%d.node%d", seq, r.nodeID)),
-		}
-	}).(*nodeBarrier)
-	st.arrived++
-	if st.arrived == r.LocalSize() {
-		w := r.w
-		rel := st.release
-		r.Shard().PostCall(r.Now(), w.M.HubShard(), func() { w.hubBarrierArrive(rel) })
-	}
-	return st, seq
 }

@@ -19,10 +19,6 @@ func (w *World) Reset() {
 	w.M.Reset()
 	w.Tunables = DefaultTunables()
 	clear(w.ops)
-	for _, m := range w.shardOps {
-		clear(m)
-	}
-	w.hubBarrier.pending = w.hubBarrier.pending[:0]
 	for id := range w.ranks {
 		r := &w.ranks[id]
 		r.proc = nil
@@ -41,8 +37,7 @@ func (w *World) Reset() {
 // post-NewWorld condition. Growing a pooled world this way costs a re-init
 // instead of a rebuild; the result is bit-identical, in every
 // kernel-observable way, to NewWorld(cfg) (pinned by the bench equivalence
-// tests). Only single-shard worlds can be reconfigured; see
-// machine.Reconfigure.
+// tests).
 //
 // This file is a sanctioned Reset site for the bgplint worldreuse rule;
 // Reconfigure is Reset's capacity-aware sibling and lives at the same choke
@@ -53,8 +48,6 @@ func (w *World) Reconfigure(cfg hw.Config) error {
 	}
 	w.Tunables = DefaultTunables()
 	clear(w.ops)
-	w.shardOps = nil
-	w.hubBarrier.pending = w.hubBarrier.pending[:0]
 	w.buildRanks()
 	return nil
 }

@@ -21,18 +21,10 @@ package mpi
 
 import "bgpcoll/internal/sim"
 
-// SteadyState canonicalizes the world's residual state into f. Sharded
-// worlds, unknown operation types and pending point-to-point traffic refuse
-// the capture (extrapolation then falls back to full execution).
+// SteadyState canonicalizes the world's residual state into f. Unknown
+// operation types and pending point-to-point traffic refuse the capture
+// (extrapolation then falls back to full execution).
 func (w *World) SteadyState(f *sim.FP) {
-	if w.shardOps != nil {
-		f.Refuse("sharded world")
-		return
-	}
-	if len(w.hubBarrier.pending) != 0 {
-		f.Refuse("pending hub barrier")
-		return
-	}
 	var baseSeq int64
 	if len(w.ranks) > 0 {
 		baseSeq = w.ranks[0].seq
@@ -48,7 +40,6 @@ func (w *World) SteadyState(f *sim.FP) {
 	f.I64(int64(len(keys)))
 	for _, k := range keys {
 		e := w.ops[k]
-		f.I64(int64(k.scope))
 		f.I64(k.seq - baseSeq)
 		f.Str(k.kind)
 		f.I64(int64(e.refs))
@@ -75,7 +66,7 @@ func (w *World) SteadyState(f *sim.FP) {
 	}
 }
 
-// sortOpKeys orders registry keys by (scope, seq, kind): insertion sort —
+// sortOpKeys orders registry keys by (seq, kind): insertion sort —
 // the registry holds a handful of live entries at any boundary.
 func sortOpKeys(keys []opKey) {
 	for i := 1; i < len(keys); i++ {
@@ -86,9 +77,6 @@ func sortOpKeys(keys []opKey) {
 }
 
 func opKeyLess(a, b opKey) bool {
-	if a.scope != b.scope {
-		return a.scope < b.scope
-	}
 	if a.seq != b.seq {
 		return a.seq < b.seq
 	}
@@ -112,16 +100,9 @@ func (b *mailbox) idle() bool {
 	return true
 }
 
-// SteadyState canonicalizes the classic-world barrier op: the arrival count
-// and the release event with its waiter list.
+// SteadyState canonicalizes the barrier op: the arrival count and the
+// release event with its waiter list.
 func (st *barrierState) SteadyState(f *sim.FP) {
 	f.I64(int64(st.arrived))
 	f.Event(st.ev)
-}
-
-// SteadyState canonicalizes the node-scoped sharded-barrier op. Sharded
-// worlds refuse capture outright, so this exists for type completeness.
-func (st *nodeBarrier) SteadyState(f *sim.FP) {
-	f.I64(int64(st.arrived))
-	f.Counter(st.release)
 }

@@ -21,20 +21,6 @@ type World struct {
 	ranks []Rank
 
 	ops map[opKey]*opEntry
-
-	// shardOps partitions the shared-op registry by kernel shard on a
-	// sharded world: node-scoped entries live in the owning node's shard's
-	// map, touched only under that shard's token, so parallel windows never
-	// race on one map. World-scoped entries are rejected outright — no
-	// single shard could own them (Barrier has a dedicated sharded
-	// protocol; see rank.go).
-	shardOps []map[opKey]*opEntry
-
-	// hubBarrier is the hub-side state of the sharded barrier protocol,
-	// touched only by hub-shard callbacks during a run.
-	hubBarrier struct {
-		pending []*sim.Counter
-	}
 }
 
 // Tunables select collective algorithm implementations, mirroring the
@@ -83,12 +69,6 @@ func NewWorld(cfg hw.Config) (*World, error) {
 		M:        m,
 		Tunables: DefaultTunables(),
 		ops:      make(map[opKey]*opEntry),
-	}
-	if m.Sharded() {
-		w.shardOps = make([]map[opKey]*opEntry, m.K.ShardCount())
-		for i := range w.shardOps {
-			w.shardOps[i] = make(map[opKey]*opEntry)
-		}
 	}
 	w.buildRanks()
 	return w, nil
@@ -144,16 +124,12 @@ func (w *World) Size() int { return len(w.ranks) }
 // handle through Run).
 func (w *World) Rank(id int) *Rank { return &w.ranks[id] }
 
-// Sharded reports whether the world runs on a sharded kernel.
-func (w *World) Sharded() bool { return w.M.Sharded() }
-
 // Run executes fn on every rank as a simulated process and drives the
 // simulation until all ranks return. It returns the virtual time consumed.
-// On a sharded world each rank's process is spawned on its node's shard.
 func (w *World) Run(fn func(r *Rank)) (sim.Time, error) {
 	for id := range w.ranks {
 		r := &w.ranks[id]
-		r.proc = r.Shard().SpawnIdx("rank", int32(r.id), func(p *sim.Proc) {
+		r.proc = w.M.K.SpawnIdx("rank", int32(r.id), func(p *sim.Proc) {
 			fn(r)
 		})
 	}
@@ -171,7 +147,7 @@ func (w *World) Run(fn func(r *Rank)) (sim.Time, error) {
 func (w *World) RunProgram(fn func(r *Rank)) (sim.Time, error) {
 	for id := range w.ranks {
 		r := &w.ranks[id]
-		r.proc = r.Shard().SpawnProgramIdx("rank", int32(r.id), func(p *sim.Proc) {
+		r.proc = w.M.K.SpawnProgramIdx("rank", int32(r.id), func(p *sim.Proc) {
 			fn(r)
 		})
 	}
@@ -179,12 +155,12 @@ func (w *World) RunProgram(fn func(r *Rank)) (sim.Time, error) {
 	return w.M.K.Now(), err
 }
 
-// opKey identifies one collective operation instance at one coordination
-// scope: a node (intra-node shared state) or the whole job (scope -1).
+// opKey identifies one collective operation instance: every rank issues
+// collectives in the same order, so (seq, kind) names the same operation on
+// all of them.
 type opKey struct {
-	scope int
-	seq   int64
-	kind  string
+	seq  int64
+	kind string
 }
 
 type opEntry struct {
@@ -192,68 +168,28 @@ type opEntry struct {
 	refs int
 }
 
-const worldScope = -1
-
-// opsFor returns the registry map owning the given scope: the single map on
-// a classic world, the owning node's shard's map on a sharded one.
-// World-scoped state is unavailable on a sharded world — no shard could own
-// it — so collectives that need it (the torus and allreduce families) are
-// single-shard only.
-func (w *World) opsFor(scope int) map[opKey]*opEntry {
-	if w.shardOps == nil {
-		return w.ops
-	}
-	if scope == worldScope {
-		panic("mpi: world-scoped shared state on a sharded world (collective not shard-capable)")
-	}
-	return w.shardOps[w.M.ShardOf(scope).ID()]
-}
-
-// shared returns the operation state for (scope, seq), creating it with
+// shared returns the operation state for (seq, kind), creating it with
 // create on first access. parties is the number of ranks that will acquire
 // it; when all have released it, the entry is reclaimed.
-func (w *World) shared(scope int, seq int64, kind string, parties int, create func() any) any {
-	key := opKey{scope: scope, seq: seq, kind: kind}
-	ops := w.opsFor(scope)
-	e, ok := ops[key]
+func (w *World) shared(seq int64, kind string, parties int, create func() any) any {
+	key := opKey{seq: seq, kind: kind}
+	e, ok := w.ops[key]
 	if !ok {
 		e = &opEntry{val: create(), refs: parties}
-		ops[key] = e
+		w.ops[key] = e
 	}
 	return e.val
 }
 
 // release drops one rank's reference to the operation state.
-func (w *World) release(scope int, seq int64, kind string) {
-	key := opKey{scope: scope, seq: seq, kind: kind}
-	ops := w.opsFor(scope)
-	e, ok := ops[key]
+func (w *World) release(seq int64, kind string) {
+	key := opKey{seq: seq, kind: kind}
+	e, ok := w.ops[key]
 	if !ok {
 		panic(fmt.Sprintf("mpi: release of unknown op %+v", key))
 	}
 	e.refs--
 	if e.refs == 0 {
-		delete(ops, key)
+		delete(w.ops, key)
 	}
-}
-
-// hubBarrierArrive records one node's arrival at the current sharded
-// barrier; it runs on the hub shard at the arriving node's last-local-rank
-// instant. Barriers are totally ordered in virtual time (no node can arrive
-// at barrier k+1 before every node was released from barrier k), so a plain
-// count of pending nodes identifies the barrier. The last arrival releases
-// every node one interrupt-network latency later — the same instant the
-// single-shard protocol's event fires at.
-func (w *World) hubBarrierArrive(release *sim.Counter) {
-	hb := &w.hubBarrier
-	hb.pending = append(hb.pending, release)
-	if len(hb.pending) < w.M.Cfg.Nodes() {
-		return
-	}
-	hub := w.M.HubShard()
-	at := hub.Now() + w.M.Cfg.Params.BarrierLatency
-	for _, c := range hb.pending {
-		hub.PostAdd(at, c, 1)
-	}
-	hb.pending = hb.pending[:0]
 }

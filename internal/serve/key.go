@@ -28,7 +28,9 @@ import (
 // keyVersion prefixes every canonical form. Bump it when the meaning of a
 // measurement changes without any request field changing (e.g. a kernel
 // timing-model fix): stale persisted caches then miss instead of lying.
-const keyVersion = "bgpsimd/v1"
+// v2 dropped the partition's shard count from the config walk, so every
+// canonical form changed shape.
+const keyVersion = "bgpsimd/v2"
 
 // CanonicalCell renders the cell's cache-relevant fields as one stable,
 // human-auditable string. Equal strings imply bit-identical virtual times.

@@ -58,7 +58,6 @@ func TestKeySensitivity(t *testing.T) {
 		"torus":      func(c *bench.Cell) { c.Cfg.Torus.DZ *= 2 },
 		"mode":       func(c *bench.Cell) { c.Cfg.Mode = hw.SMP },
 		"functional": func(c *bench.Cell) { c.Cfg.Functional = true },
-		"shards":     func(c *bench.Cell) { c.Cfg.Shards = 4 },
 		"param-int":  func(c *bench.Cell) { c.Cfg.Params.TLBSlots++ },
 		"param-f64":  func(c *bench.Cell) { c.Cfg.Params.TorusLinkBps *= 1.0000001 },
 		"param-bool": func(c *bench.Cell) { c.Cfg.Params.MapCacheEnabled = !c.Cfg.Params.MapCacheEnabled },

@@ -8,6 +8,7 @@ package reqspec
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -17,6 +18,8 @@ import (
 
 // ParseSize parses a byte count with the benchmark axes' K/M suffixes
 // ("512", "64K", "2M", case-insensitive, surrounding whitespace ignored).
+// An accepted size is positive: zero, negative and overflowing counts are
+// errors.
 func ParseSize(s string) (int, error) {
 	s = strings.TrimSpace(strings.ToUpper(s))
 	mult := 1
@@ -30,10 +33,14 @@ func ParseSize(s string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("invalid size %q", s)
 	}
+	if n <= 0 || n > math.MaxInt/mult {
+		return 0, fmt.Errorf("size %q is not a positive byte count", s)
+	}
 	return n * mult, nil
 }
 
 // ParseTorus parses a partition geometry "DXxDYxDZ" (case-insensitive x).
+// Every accepted dimension is positive.
 func ParseTorus(s string) (dx, dy, dz int, err error) {
 	parts := strings.Split(strings.ToLower(s), "x")
 	if len(parts) != 3 {
@@ -44,6 +51,9 @@ func ParseTorus(s string) (dx, dy, dz int, err error) {
 		dims[i], err = strconv.Atoi(p)
 		if err != nil {
 			return 0, 0, 0, fmt.Errorf("torus dimension %q: %w", p, err)
+		}
+		if dims[i] <= 0 {
+			return 0, 0, 0, fmt.Errorf("torus dimension %q is not positive", p)
 		}
 	}
 	return dims[0], dims[1], dims[2], nil

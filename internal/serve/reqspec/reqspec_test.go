@@ -41,6 +41,9 @@ func TestParseSizeEquivalence(t *testing.T) {
 	}
 	for _, in := range cases {
 		want, wantOK := legacyParseSize(in)
+		// The legacy parser accepted zero and negative counts; ParseSize
+		// rejects them and otherwise agrees.
+		wantOK = wantOK && want > 0
 		got, err := ParseSize(in)
 		if wantOK != (err == nil) {
 			t.Errorf("ParseSize(%q): err=%v, legacy ok=%v", in, err, wantOK)
@@ -74,7 +77,7 @@ func TestParseTorus(t *testing.T) {
 	if dx, dy, dz, err = ParseTorus("2X2X4"); err != nil || dx != 2 || dy != 2 || dz != 4 {
 		t.Fatalf("ParseTorus(2X2X4) = %d,%d,%d,%v (uppercase X must parse)", dx, dy, dz, err)
 	}
-	for _, bad := range []string{"8x8", "8x8x8x8", "axbxc", ""} {
+	for _, bad := range []string{"8x8", "8x8x8x8", "axbxc", "", "0x2x2", "2x-1x2"} {
 		if _, _, _, err := ParseTorus(bad); err == nil {
 			t.Errorf("ParseTorus(%q) succeeded", bad)
 		}

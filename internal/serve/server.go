@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"time"
@@ -105,6 +106,31 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // httpError writes a JSON error body with the given status.
+// maxRequestBody caps a POST body. The largest legitimate request, a sweep
+// over every algorithm and size, is a few kilobytes; anything near the cap
+// is abuse, and reading it unbounded would let one client exhaust memory.
+const maxRequestBody = 64 << 10
+
+// decodeBody reads r's body, at most maxRequestBody bytes, and decodes it as
+// JSON into v. On failure it has already answered: 413 for an oversized
+// body (whatever its content), 400 for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxRequestBody)
+		return false
+	}
+	if err == nil {
+		err = json.Unmarshal(data, v)
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -187,9 +213,6 @@ func buildCell(q runRequest) (bench.Cell, error) {
 	if err != nil {
 		return bench.Cell{}, err
 	}
-	if size <= 0 {
-		return bench.Cell{}, fmt.Errorf("size must be positive, got %d", size)
-	}
 	dx, dy, dz, err := reqspec.ParseTorus(q.Torus)
 	if err != nil {
 		return bench.Cell{}, err
@@ -232,8 +255,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var q runRequest
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &q) {
 		return
 	}
 	c, err := buildCell(q)
@@ -263,8 +285,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var q sweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &q) {
 		return
 	}
 	if len(q.Algos) == 0 || len(q.Sizes) == 0 {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,5 +281,41 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if resp, _ := get(t, ts.URL+"/v1/run"); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/run: %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestOversizedBodyRejected pins the request-body cap: a body over
+// maxRequestBody gets 413 and runs no cell, even when its prefix is a valid
+// request, while the same request padded to just under the cap is served.
+func TestOversizedBodyRejected(t *testing.T) {
+	var runs atomic.Int64
+	_, ts := newTestServer(t, Config{RunCell: func(c bench.Cell) (sim.Time, error) {
+		runs.Add(1)
+		return sim.Microsecond, nil
+	}})
+	// padded renders req with a "pad" field that brings the body to n bytes.
+	padded := func(req string, n int) string {
+		head := strings.TrimSuffix(req, "}") + `,"pad":"`
+		return head + strings.Repeat("x", n-len(head)-2) + `"}`
+	}
+	for path, req := range map[string]string{
+		"/v1/run":   `{"op":"bcast","algo":"torus.shaddr","size":"4K","torus":"2x2x2","iters":1}`,
+		"/v1/sweep": `{"op":"bcast","algos":["torus.shaddr"],"sizes":["8K"],"torus":"2x2x2","iters":1}`,
+	} {
+		big := padded(req, maxRequestBody+1024)
+		if len(big) != maxRequestBody+1024 {
+			t.Fatalf("padded body is %d bytes", len(big))
+		}
+		resp, body := post(t, ts.URL+path, big)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s oversized: status %d (%s), want 413", path, resp.StatusCode, body)
+		}
+		if n := runs.Load(); n != 0 {
+			t.Fatalf("%s oversized: %d cells ran", path, n)
+		}
+		if resp, body := post(t, ts.URL+path, padded(req, maxRequestBody)); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s at the cap: status %d (%s), want 200", path, resp.StatusCode, body)
+		}
+		runs.Store(0)
 	}
 }

@@ -7,12 +7,8 @@ import "sort"
 // software message counters: a producer adds received byte counts, consumers
 // wait until the count reaches a threshold. Like events, counters must not
 // outlive a Kernel.Reset: stale handles panic via the epoch stamp.
-//
-// A counter belongs to the shard that created it: only that shard's code may
-// add to it, wait on it, or subscribe to it. Other shards reach it through
-// Shard.PostAdd.
 type Counter struct {
-	sh      *Shard
+	k       *Kernel
 	name    string
 	epoch   uint32
 	v       int64
@@ -32,16 +28,12 @@ type counterWait struct {
 	e         entry
 }
 
-// NewCounter returns a counter starting at zero owned by the root shard; see
-// Shard.NewCounter.
-func (k *Kernel) NewCounter(name string) *Counter { return k.s0.NewCounter(name) }
-
-// NewCounter returns a counter starting at zero, carved from the shard's
+// NewCounter returns a counter starting at zero, carved from the kernel's
 // arena (see arena.go). Every field is reinitialized: after a Reset the slot
 // still holds a previous run's state (the waiter slice keeps its capacity).
-func (sh *Shard) NewCounter(name string) *Counter {
-	c := sh.arena.newCounter()
-	c.sh, c.name, c.epoch = sh, name, sh.k.epoch
+func (k *Kernel) NewCounter(name string) *Counter {
+	c := k.arena.newCounter()
+	c.k, c.name, c.epoch = k, name, k.epoch
 	c.v = 0
 	c.waiters = c.waiters[:0]
 	return c
@@ -49,7 +41,7 @@ func (sh *Shard) NewCounter(name string) *Counter {
 
 // check panics when the handle predates the kernel's current epoch.
 func (c *Counter) check() {
-	if c.epoch != c.sh.k.epoch {
+	if c.epoch != c.k.epoch {
 		panic("sim: counter handle (" + c.name + ") used across Kernel.Reset")
 	}
 }
@@ -59,9 +51,6 @@ func (c *Counter) Value() int64 { return c.v }
 
 // Name returns the counter's name.
 func (c *Counter) Name() string { return c.name }
-
-// Shard returns the owning shard.
-func (c *Counter) Shard() *Shard { return c.sh }
 
 // Add increases the counter by n (n must be non-negative; the structures the
 // counter models only count up) and releases any waiters whose threshold is
@@ -103,26 +92,26 @@ func (c *Counter) release() {
 	if n == 0 {
 		return
 	}
-	sh := c.sh
+	k := c.k
 	if n == 1 {
-		sh.wake(c.waiters[0].e)
+		k.wake(c.waiters[0].e)
 	} else {
 		// A threshold crossing that releases several waiters at one instant
 		// wakes them as a single run-ring batch: the per-waiter blocked
 		// bookkeeping runs first, then one bulk append in threshold order
 		// (ties in registration order — the same order wake-by-wake pushes
 		// would have produced).
-		buf := sh.arena.wakeBuf[:0]
+		buf := k.arena.wakeBuf[:0]
 		for _, w := range c.waiters[:n] {
 			if w.e.kind != eFn {
-				p := sh.procAt(w.e.idx)
-				sh.blocked--
+				p := k.procAt(w.e.idx)
+				k.blocked--
 				p.waitEv, p.waitC = nil, nil
 			}
 			buf = append(buf, w.e)
 		}
-		sh.ring.pushBatch(buf)
-		sh.arena.wakeBuf = buf[:0]
+		k.ring.pushBatch(buf)
+		k.arena.wakeBuf = buf[:0]
 	}
 	// Compact in place rather than re-slicing the front away: waking repeatedly
 	// would otherwise shrink capacity to zero and reallocate on every wait.
@@ -132,13 +121,12 @@ func (c *Counter) release() {
 }
 
 // OnGE schedules fn once the counter reaches at least v. If it already has,
-// fn is scheduled at the current time. Like Add, it must be called from the
-// owning shard.
+// fn is scheduled at the current time.
 func (c *Counter) OnGE(v int64, fn func()) {
 	c.check()
 	if c.v >= v {
-		c.sh.At(c.sh.now, fn)
+		c.k.At(c.k.now, fn)
 		return
 	}
-	c.wait(v, entry{kind: eFn, idx: c.sh.newCb(fn)})
+	c.wait(v, entry{kind: eFn, idx: c.k.newCb(fn)})
 }

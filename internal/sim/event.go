@@ -5,12 +5,8 @@ package sim
 // current and future waiters. Events are not reusable; allocate a new one per
 // occurrence — and not retainable across Kernel.Reset: the epoch stamp makes
 // a stale handle panic instead of aliasing whatever now occupies its slot.
-//
-// An event belongs to the shard that created it: only that shard's code may
-// wait on it, fire it, or subscribe to it. Other shards reach it through
-// Shard.PostFire.
 type Event struct {
-	sh      *Shard
+	k       *Kernel
 	name    string
 	epoch   uint32
 	fired   bool
@@ -25,17 +21,13 @@ type Event struct {
 	fpID  uint32
 }
 
-// NewEvent returns an unfired event owned by the root shard; see
-// Shard.NewEvent.
-func (k *Kernel) NewEvent(name string) *Event { return k.s0.NewEvent(name) }
-
-// NewEvent returns an unfired event, carved from the shard's arena (see
+// NewEvent returns an unfired event, carved from the kernel's arena (see
 // arena.go). The name appears in deadlock reports. Every field is
 // reinitialized here: after a Reset the slot still holds a previous run's
 // state (the waiter slice keeps its capacity on purpose).
-func (sh *Shard) NewEvent(name string) *Event {
-	e := sh.arena.newEvent()
-	e.sh, e.name, e.epoch = sh, name, sh.k.epoch
+func (k *Kernel) NewEvent(name string) *Event {
+	e := k.arena.newEvent()
+	e.k, e.name, e.epoch = k, name, k.epoch
 	e.fired = false
 	e.waiters = e.waiters[:0]
 	return e
@@ -44,7 +36,7 @@ func (sh *Shard) NewEvent(name string) *Event {
 // check panics when the handle predates the kernel's current epoch: its slab
 // slot belongs to the next lease now (or will shortly).
 func (e *Event) check() {
-	if e.epoch != e.sh.k.epoch {
+	if e.epoch != e.k.epoch {
 		panic("sim: event handle (" + e.name + ") used across Kernel.Reset")
 	}
 }
@@ -70,7 +62,7 @@ func (e *Event) Reserve(n int) {
 // time. Firing twice panics: it always indicates a protocol bug.
 //
 // The waiters are released as one run-ring batch: the blocked bookkeeping
-// (normally done per-entry in Shard.wake) runs first, then the whole slice
+// (normally done per-entry in Kernel.wake) runs first, then the whole slice
 // is appended to the ring in a single copy, preserving registration order.
 func (e *Event) Fire() {
 	e.check()
@@ -81,26 +73,25 @@ func (e *Event) Fire() {
 	if len(e.waiters) == 0 {
 		return
 	}
-	sh := e.sh
+	k := e.k
 	for _, w := range e.waiters {
 		if w.kind != eFn {
-			p := sh.procAt(w.idx)
-			sh.blocked--
+			p := k.procAt(w.idx)
+			k.blocked--
 			p.waitEv, p.waitC = nil, nil
 		}
 	}
-	sh.ring.pushBatch(e.waiters)
+	k.ring.pushBatch(e.waiters)
 	e.waiters = e.waiters[:0]
 }
 
 // OnFire registers fn to run when the event fires. If the event has already
-// fired, fn is scheduled at the current time. Like Fire, it must be called
-// from the owning shard.
+// fired, fn is scheduled at the current time.
 func (e *Event) OnFire(fn func()) {
 	e.check()
 	if e.fired {
-		e.sh.At(e.sh.now, fn)
+		e.k.At(e.k.now, fn)
 		return
 	}
-	e.waiters = append(e.waiters, entry{kind: eFn, idx: e.sh.newCb(fn)})
+	e.waiters = append(e.waiters, entry{kind: eFn, idx: e.k.newCb(fn)})
 }

@@ -11,12 +11,12 @@ import (
 
 // entry is one schedulable unit, encoded without pointers so the run ring,
 // the event queue, and every waiter list are memory the GC never has to scan.
-// kind selects the dispatch and idx names the target: a slot in the shard's
-// callback table (eFn), hook table (eHook), add table (eAdd), or a process's
-// dense arena index (everything else).
+// kind selects the dispatch and idx names the target: a slot in the kernel's
+// callback table (eFn) or add table (eAdd), or a process's dense arena index
+// (everything else).
 //
 // In a waiter list (Event.waiters, Counter.waiters) every kind other than eFn
-// identifies a parked process, so Shard.wake and the batch-wake loops do the
+// identifies a parked process, so Kernel.wake and the batch-wake loops do the
 // blocked bookkeeping exactly for those kinds — the same split the old
 // (fn, p) pair expressed with p != nil.
 type entry struct {
@@ -34,32 +34,67 @@ const (
 	eCont         // run process idx's program continuation (program.go)
 	eProg         // step process idx's program-mode plan (program.go)
 	eAdd          // apply add-table slot idx: a scheduled Counter.Add (AddAt)
-	eHook         // run hook-table slot idx: a delivered cross-shard PostHook
 )
 
 // Kernel is a deterministic discrete-event scheduler. The zero value is not
 // usable; create kernels with New.
 //
-// All scheduling state lives in shards (see shard.go). A fresh kernel has
-// exactly one — the root shard, embedded by value so the serial path pays no
-// extra indirection — and every Kernel-level scheduling method delegates to
-// it. NewShard/NewHubShard partition the simulation for parallel conservative
-// epochs (see epoch.go); with more than one shard Run becomes the epoch
-// controller instead of the single-queue loop.
+// The kernel owns one clock, one radix event queue for future entries, one
+// same-instant run ring, the callback and add entry tables, the process
+// registry, and an arena. Every Event, Counter, Pipe, and Proc belongs to
+// exactly one kernel, and all of its entries execute under a single
+// virtual-CPU token, so simulation code is lock-free and deterministic.
 type Kernel struct {
-	s0     Shard
-	shards []*Shard
+	now   Time
+	queue eventQueue
+	ring  runRing
 
-	// lookahead is the conservative-PDES window width: the minimum virtual
-	// latency of any cross-shard interaction. Cross-shard posts destined for
-	// a peer shard must land at least this far in the future (see
-	// Shard.postTo); posts into a hub shard only need t >= now, because hubs
-	// run strictly after the peer phase within each window.
-	lookahead Time
+	// sched returns the virtual CPU to the scheduler loop in Run. Whichever
+	// process ends a direct-handoff chain sends here; Run receives once per
+	// process resume it initiated.
+	sched chan struct{}
+
+	// fused is a process whose plan just completed on an instant step: next()
+	// resumes it before popping any further entry, preserving the queue
+	// position its unfused slice would have occupied.
+	fused *Proc
+
+	// cbs is the callback table: eFn entries name a slot here instead of
+	// carrying the func value, keeping queue memory pointer-free. Slots are
+	// recycled through cbFree in LIFO order — a deterministic policy, so a
+	// reused kernel assigns the same slot numbers as a fresh one.
+	cbs    []func()
+	cbFree []uint32
+
+	// adds is the scheduled-add table: eAdd entries name a slot here holding
+	// a (counter, amount) pair, so a deferred Counter.Add costs no closure.
+	// Slots recycle LIFO through addFree, like cbs.
+	adds    []addAt
+	addFree []uint32
+
+	// procs lists every live process by dense arena index; each tracks its
+	// own registry position (Proc.idx) for O(1) removal. blocked counts
+	// processes currently waiting on an Event or Counter threshold (not a
+	// timed sleep). If all events drain while blocked > 0 the simulation is
+	// deadlocked.
+	procs   []uint32
+	blocked int
+
+	failure error
+
+	// cbPanic holds the value of a callback panic captured on a process
+	// goroutine (see handoff); Run re-panics with it so callback panics
+	// crash Run exactly as they do when the scheduler goroutine runs them.
+	cbPanic any
+
+	// arena holds the kernel's slab allocator for events, counters, and
+	// processes (see arena.go). Everything carved from it lives exactly as
+	// long as the kernel — or until Reset rewinds it.
+	arena arena
 
 	running bool
 
-	// noHandoff forces every yield through the shard's scheduler loop (the
+	// noHandoff forces every yield through the scheduler loop (the
 	// pre-handoff two-rendezvous protocol). It exists for the determinism
 	// stress tests, which compare event orderings with and without the
 	// direct-handoff fast path.
@@ -77,13 +112,6 @@ type Kernel struct {
 	// against.
 	noProgram bool
 
-	// noShard runs a sharded kernel's epochs sequentially on the calling
-	// goroutine — same windows, same mailbox merges, same committed order,
-	// no worker goroutines. It is the reference vehicle the determinism
-	// stress tests compare the parallel execution against, mirroring
-	// noHandoff/noFuse/noProgram.
-	noShard bool
-
 	// noExtrap disables steady-state iteration extrapolation (steady.go):
 	// Steady.Capture refuses on a noExtrap kernel, so every measure-loop
 	// iteration executes. The full-execution reference vehicle, mirroring
@@ -100,49 +128,24 @@ type Kernel struct {
 	// slot may already belong to someone else).
 	epoch uint32
 
-	// mergeBuf is the epoch controller's reusable mailbox merge scratch.
-	mergeBuf []xmsg
-
 	// fpFree holds the fingerprint slots a finished steady-state detector
 	// released for the next one (Steady.Release); all nil until then.
 	fpFree [maxSteadyPeriod + 1]*FP
 }
 
-// New returns a kernel with the clock at zero and a single root shard.
+// New returns a kernel with the clock at zero.
 func New() *Kernel {
-	k := &Kernel{}
-	k.s0.init(k, 0, false)
-	k.shards = append(k.shards, &k.s0)
-	return k
+	return &Kernel{sched: make(chan struct{})}
 }
 
-// Now returns the current virtual time: the root shard's clock, or — on a
-// sharded kernel, where shards advance independently inside a window — the
-// maximum over all shards (the horizon every committed event is behind).
-func (k *Kernel) Now() Time {
-	if len(k.shards) == 1 {
-		return k.s0.now
-	}
-	var t Time
-	for _, sh := range k.shards {
-		if sh.now > t {
-			t = sh.now
-		}
-	}
-	return t
-}
+// Now returns the current virtual time.
+func (k *Kernel) Now() Time { return k.now }
 
 // SetNoProgram toggles the goroutine-backed reference mode for SpawnProgram
 // (see program.go). It must be called before any process is spawned; the two
 // modes produce bit-identical event orderings, so this exists for the
 // determinism stress tests and the program-vs-reference benchmark runs.
 func (k *Kernel) SetNoProgram(v bool) { k.noProgram = v }
-
-// SetNoShard toggles the sequential-epoch reference vehicle for sharded
-// kernels (see epoch.go). It may be set any time before Run; both vehicles
-// execute the identical window/mailbox algorithm, so every trace, failure,
-// and deadlock report is bit-identical between them.
-func (k *Kernel) SetNoShard(v bool) { k.noShard = v }
 
 // SetNoExtrap toggles the full-execution reference vehicle for the steady-
 // state extrapolation detector (steady.go): captures on a noExtrap kernel
@@ -154,37 +157,13 @@ func (k *Kernel) SetNoExtrap(v bool) { k.noExtrap = v }
 // NoExtrap reports whether steady-state extrapolation is disabled.
 func (k *Kernel) NoExtrap() bool { return k.noExtrap }
 
-// SetLookahead declares the conservative window width for sharded runs: no
-// cross-shard interaction may take effect sooner than this after it is
-// posted. The machine layer computes it as the minimum cross-node latency of
-// the networks in play. Sharded Run panics without a positive lookahead.
-func (k *Kernel) SetLookahead(d Time) {
-	if d <= 0 {
-		panic("sim: non-positive lookahead")
-	}
-	k.lookahead = d
-}
-
-// Lookahead returns the configured conservative window width.
-func (k *Kernel) Lookahead() Time { return k.lookahead }
-
-// Sharded reports whether the kernel has more than one shard.
-func (k *Kernel) Sharded() bool { return len(k.shards) > 1 }
-
-// ShardCount returns the number of shards (1 for a fresh kernel).
-func (k *Kernel) ShardCount() int { return len(k.shards) }
-
-// RootShard returns the kernel's always-present shard 0, the one every
-// Kernel-level scheduling method operates on.
-func (k *Kernel) RootShard() *Shard { return &k.s0 }
-
 // Reset returns the kernel to its post-New state while keeping every
 // allocation it has accumulated: arena slabs, queue and ring capacity, the
-// callback tables, grown waiter lists, the shard partition, and the pipes
-// created on it. Pipes survive with their identity intact (their reservation
-// state rewinds to zero); events, counters, and processes do not — their
-// slab slots will be recarved, so handles from before the Reset are poison,
-// and the epoch stamp makes using one panic deterministically.
+// callback tables, grown waiter lists, and the pipes created on it. Pipes
+// survive with their identity intact (their reservation state rewinds to
+// zero); events, counters, and processes do not — their slab slots will be
+// recarved, so handles from before the Reset are poison, and the epoch stamp
+// makes using one panic deterministically.
 //
 // Reset panics if called during Run or while processes are still live: a
 // failed run (deadlock, process panic) leaves parked processes behind, and
@@ -194,31 +173,74 @@ func (k *Kernel) Reset() {
 	if k.running {
 		panic("sim: Reset during Run")
 	}
-	for _, sh := range k.shards {
-		if len(sh.procs) > 0 || sh.blocked != 0 {
-			panic("sim: Reset with live processes; only a cleanly finished kernel can be reset")
-		}
+	if len(k.procs) > 0 || k.blocked != 0 {
+		panic("sim: Reset with live processes; only a cleanly finished kernel can be reset")
 	}
-	for _, sh := range k.shards {
-		sh.reset()
-	}
+	k.now = 0
+	k.queue.reset()
+	k.ring.head, k.ring.tail, k.ring.n = 0, 0, 0
+	k.fused = nil
+	k.failure = nil
+	k.cbPanic = nil
+	// Callback slots hold closures whose captures would otherwise keep the
+	// previous run's garbage alive for the whole next lease.
+	clear(k.cbs)
+	k.cbs = k.cbs[:0]
+	k.cbFree = k.cbFree[:0]
+	clear(k.adds)
+	k.adds = k.adds[:0]
+	k.addFree = k.addFree[:0]
+	k.arena.reset()
 	for _, p := range k.pipes {
 		p.free, p.totalBytes, p.busy, p.transfers = 0, 0, 0, 0
 	}
 	k.epoch++
 }
 
-// At schedules fn to run on the root shard at absolute virtual time t.
-// Scheduling in the past panics: it indicates a broken cost model rather
-// than a recoverable state. Code running inside a peer shard of a sharded
-// kernel must use Shard.At (or the object-routed AddAt) instead.
-func (k *Kernel) At(t Time, fn func()) { k.s0.At(t, fn) }
+// newCb stores fn in the callback table and returns its slot. Slots recycle
+// LIFO so the mapping from schedule order to slot numbers is a pure function
+// of the run, fresh or reused.
+func (k *Kernel) newCb(fn func()) uint32 {
+	if n := len(k.cbFree); n > 0 {
+		i := k.cbFree[n-1]
+		k.cbFree = k.cbFree[:n-1]
+		k.cbs[i] = fn
+		return i
+	}
+	k.cbs = append(k.cbs, fn)
+	return uint32(len(k.cbs) - 1)
+}
 
-// After schedules fn to run d after the root shard's current time.
-func (k *Kernel) After(d Time, fn func()) { k.s0.After(d, fn) }
+// runCb runs a callback slot, releasing it first so the table holds no
+// reference while (and after) the callback executes.
+func (k *Kernel) runCb(i uint32) {
+	fn := k.cbs[i]
+	k.cbs[i] = nil
+	k.cbFree = append(k.cbFree, i)
+	fn()
+}
+
+// procAt resolves a dense process index.
+func (k *Kernel) procAt(i uint32) *Proc { return k.arena.procAt(i) }
+
+// At schedules fn to run at absolute virtual time t. Scheduling in the past
+// panics: it indicates a broken cost model rather than a recoverable state.
+func (k *Kernel) At(t Time, fn func()) {
+	if t <= k.now {
+		if t < k.now {
+			panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
+		}
+		k.ring.push(entry{kind: eFn, idx: k.newCb(fn)})
+		return
+	}
+	k.queue.push(t, entry{kind: eFn, idx: k.newCb(fn)})
+}
+
+// After schedules fn to run d after the current time.
+func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
 // addAt is one scheduled counter add: the pointer-lean form of
-// At(t, func() { c.Add(n) }), stored in the shard's add table so the hot
+// At(t, func() { c.Add(n) }), stored in the kernel's add table so the hot
 // DMA-completion paths schedule no closures.
 type addAt struct {
 	c *Counter
@@ -226,19 +248,170 @@ type addAt struct {
 }
 
 // AddAt schedules c.Add(n) at absolute virtual time t, occupying exactly the
-// (time, seq) position the equivalent At callback would. The entry lands on
-// the counter's own shard, which on a sharded kernel must also be the
-// calling shard; cross-shard adds go through Shard.PostAdd. Like At,
-// scheduling in the past panics; like every counter operation, a handle from
-// before a Reset panics at registration.
+// (time, seq) position the equivalent At callback would. Like At, scheduling
+// in the past panics; like every counter operation, a handle from before a
+// Reset panics at registration.
 //
 //bgplint:hot
-func (k *Kernel) AddAt(t Time, c *Counter, n int64) { c.sh.AddAt(t, c, n) }
+func (k *Kernel) AddAt(t Time, c *Counter, n int64) {
+	c.check()
+	i := k.newAdd(c, n)
+	if t <= k.now {
+		if t < k.now {
+			panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
+		}
+		k.ring.push(entry{kind: eAdd, idx: i})
+		return
+	}
+	k.queue.push(t, entry{kind: eAdd, idx: i})
+}
+
+// newAdd carves an add-table slot (LIFO recycling, like newCb).
+//
+//bgplint:hot
+func (k *Kernel) newAdd(c *Counter, n int64) uint32 {
+	if m := len(k.addFree); m > 0 {
+		i := k.addFree[m-1]
+		k.addFree = k.addFree[:m-1]
+		k.adds[i] = addAt{c, n}
+		return i
+	}
+	k.adds = append(k.adds, addAt{c, n})
+	return uint32(len(k.adds) - 1)
+}
+
+// runAdd applies a scheduled add, releasing its table slot first (mirroring
+// runCb's discipline).
+//
+//bgplint:hot
+func (k *Kernel) runAdd(i uint32) {
+	a := k.adds[i]
+	k.adds[i] = addAt{}
+	k.addFree = append(k.addFree, i)
+	a.c.Add(a.n)
+}
+
+// schedProc schedules p's next resume at absolute time t (>= now; timed
+// sleeps clamp negative durations before calling).
+//
+//bgplint:hot
+func (k *Kernel) schedProc(t Time, p *Proc) {
+	if t <= k.now {
+		k.ring.push(entry{kind: eResume, idx: p.self})
+		return
+	}
+	k.queue.push(t, entry{kind: eResume, idx: p.self})
+}
+
+// schedStep schedules the continuation of p's plan (see plan.go) at absolute
+// time t, using the same now-vs-future placement rule as schedProc so the
+// entry lands exactly where the process's own resume would have.
+//
+//bgplint:hot
+func (k *Kernel) schedStep(t Time, p *Proc) {
+	if t <= k.now {
+		k.ring.push(entry{kind: eStep, idx: p.self})
+		return
+	}
+	k.queue.push(t, entry{kind: eStep, idx: p.self})
+}
+
+// wake makes a released waiter runnable at the current instant. For process
+// waiters the blocked bookkeeping happens here, eagerly, so the queued entry
+// is a bare resume that any token holder may execute; the caller (Event.Fire,
+// Counter.release) always holds the token.
+//
+//bgplint:hot
+func (k *Kernel) wake(w entry) {
+	if w.kind != eFn {
+		p := k.procAt(w.idx)
+		k.blocked--
+		p.waitEv, p.waitC = nil, nil
+	}
+	k.ring.push(w)
+}
+
+// next drives the scheduler under the caller's virtual-CPU token: it pops
+// entries in exact (time, seq) order, runs callbacks inline, advances the
+// clock when the current instant is exhausted, and returns the first process
+// resume it reaches. nil means no runnable work remains (queues drained, or
+// the simulation failed). Both the scheduler loop (Run) and a yielding
+// process (handoff) use this one decision sequence, so who holds the token
+// never changes what executes next.
+//
+//bgplint:hot
+func (k *Kernel) next() *Proc {
+	for k.failure == nil {
+		// Queue entries at the current instant predate (in seq order) every
+		// ring entry, so they run first; otherwise the FIFO ring drains
+		// before the clock may advance to the queue's next timestamp.
+		var e entry
+		if k.queue.nowPending() {
+			e = k.queue.pop(k.now)
+		} else if !k.ring.empty() {
+			e = k.ring.pop()
+		} else if t, ok := k.queue.peek(); ok {
+			k.now = t
+			e = k.queue.pop(t)
+		} else {
+			break
+		}
+		switch e.kind {
+		case eResume:
+			return k.procAt(e.idx)
+		case eFn:
+			k.runCb(e.idx)
+		case eStep:
+			k.procAt(e.idx).advance()
+		case eCont:
+			k.procAt(e.idx).runCont()
+		case eProg:
+			k.procAt(e.idx).runProg()
+		case eAdd:
+			k.runAdd(e.idx)
+		}
+		// A callback that completed a process's plan resumes that process
+		// immediately: its slice belongs at this exact queue position.
+		if p := k.fused; p != nil {
+			k.fused = nil
+			return p
+		}
+	}
+	return nil
+}
+
+// handoff is next() as invoked by a process (or an exiting pool worker)
+// still holding the token: one rendezvous hands the CPU straight to the
+// returned process, and the scheduler goroutine stays parked. Disabled in
+// noHandoff mode. A callback panic is captured here rather than allowed to
+// unwind simulated process code (whose defers must not run for an unrelated
+// callback's bug): the simulation fails, the token returns to the scheduler,
+// and Run re-panics with the original value.
+func (k *Kernel) handoff() (q *Proc) {
+	if k.noHandoff || k.failure != nil {
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			k.cbPanic = r
+			k.fail(fmt.Errorf("sim: callback panicked: %v", r))
+			q = nil
+		}
+	}()
+	return k.next()
+}
+
+// fail records a fatal simulation error (process panic).
+func (k *Kernel) fail(err error) {
+	if k.failure == nil {
+		k.failure = err
+	}
+}
 
 // Run executes events until the queues drain or a process fails. It returns
 // an error if a process panicked or if processes remain blocked with no
-// pending events (virtual deadlock). On a sharded kernel Run is the
-// conservative epoch controller (epoch.go).
+// pending events (virtual deadlock). Callback panics re-panic out of Run,
+// as they do when the scheduler loop runs the callback itself.
 func (k *Kernel) Run() error {
 	if k.running {
 		return fmt.Errorf("sim: Run called reentrantly")
@@ -246,49 +419,41 @@ func (k *Kernel) Run() error {
 	k.running = true
 	defer func() { k.running = false }()
 
-	if len(k.shards) > 1 {
-		return k.runSharded()
+	for {
+		p := k.next()
+		if p == nil {
+			break
+		}
+		// Hand the virtual CPU to the process and park until some process —
+		// not necessarily this one, if the token travelled a direct-handoff
+		// chain — returns it.
+		p.gate <- struct{}{}
+		<-k.sched
+		if k.failure != nil {
+			break
+		}
 	}
-	s := &k.s0
-	s.runWindow(maxWindow)
-	if err := k.checkFailure(); err != nil {
-		return err
+	if k.failure != nil {
+		if r := k.cbPanic; r != nil {
+			k.cbPanic = nil
+			panic(r)
+		}
+		return k.failure
 	}
-	if s.blocked > 0 {
+	if k.blocked > 0 {
 		return k.deadlockError()
 	}
 	return nil
 }
 
-// checkFailure surfaces the first recorded failure in shard order: callback
-// panics re-panic (they must crash Run, as they do when the scheduler loop
-// runs the callback), and process panics return as errors. Shard order makes
-// the choice deterministic when a parallel phase fails in several shards at
-// once.
-func (k *Kernel) checkFailure() error {
-	for _, sh := range k.shards {
-		if sh.failure != nil {
-			if r := sh.cbPanic; r != nil {
-				sh.cbPanic = nil
-				panic(r)
-			}
-			return sh.failure
-		}
-	}
-	return nil
-}
-
 func (k *Kernel) deadlockError() error {
-	// Sort the report so the error text depends neither on discovery order
-	// nor on the shard partition (determinism tests compare failure output
-	// across all kernel modes, sharded included).
+	// Sort the report so the error text does not depend on discovery order
+	// (the determinism tests compare failure output across kernel modes).
 	var blocked []string
-	for _, sh := range k.shards {
-		for _, pi := range sh.procs {
-			p := sh.procAt(pi)
-			if what := p.blockedOn(); what != "" {
-				blocked = append(blocked, fmt.Sprintf("%s(%s)", p.Name(), what))
-			}
+	for _, pi := range k.procs {
+		p := k.procAt(pi)
+		if what := p.blockedOn(); what != "" {
+			blocked = append(blocked, fmt.Sprintf("%s(%s)", p.Name(), what))
 		}
 	}
 	sort.Strings(blocked)
@@ -363,7 +528,7 @@ type timed struct {
 // eventQueue is a monotone radix queue (a radix heap in the sense of Ahuja,
 // Mehlhorn, Orlin and Tarjan) of future entries. It relies on the
 // scheduler's monotonicity: every push is at or after last, the time of the
-// most recent pop, because the shard only pushes strictly after its clock
+// most recent pop, because the kernel only pushes strictly after its clock
 // and the clock is exactly last after any pop.
 //
 // An entry at time t lives in bucket bits.Len64(t ^ last): bucket 0 holds
@@ -381,7 +546,7 @@ type timed struct {
 // redistribution keeps a bucket's entries in order, compacting those at the
 // new last in place and appending the rest to buckets that are empty at
 // that moment. Equal-time entries therefore pop in push order, so the
-// queue yields the exact per-shard (time, push sequence) order without
+// queue yields the exact (time, push sequence) order without
 // storing a sequence number.
 //
 // Timestamps are non-negative int64, so t ^ last < 2^63 and buckets 0..63
@@ -408,9 +573,8 @@ func (q *eventQueue) push(t Time, ent entry) {
 	q.mask |= 1 << i &^ 1
 }
 
-// peek returns the earliest pending time without moving last: a sharded
-// window that stops at its bound may later receive mail below the peeked
-// minimum. ok is false when the queue is empty.
+// peek returns the earliest pending time without moving last. ok is false
+// when the queue is empty.
 //
 //bgplint:hot
 func (q *eventQueue) peek() (t Time, ok bool) {

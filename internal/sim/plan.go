@@ -103,9 +103,8 @@ func (p *Proc) WaitPlan(ev *Event, pl *Plan) {
 	}
 	p.check()
 	ev.check()
-	p.checkOwner(ev.sh)
 	p.waitEv = ev
-	p.sh.blocked++
+	p.k.blocked++
 	ev.waiters = append(ev.waiters, entry{kind: eStep, idx: p.self})
 	p.yield()
 }
@@ -127,9 +126,8 @@ func (p *Proc) WaitGEPlan(c *Counter, v int64, pl *Plan) {
 	}
 	p.check()
 	c.check()
-	p.checkOwner(c.sh)
 	p.waitC, p.waitGE = c, v
-	p.sh.blocked++
+	p.k.blocked++
 	c.wait(v, entry{kind: eStep, idx: p.self})
 	p.yield()
 }
@@ -143,7 +141,7 @@ func (p *Proc) WaitGEPlan(c *Counter, v int64, pl *Plan) {
 //bgplint:hot
 func (p *Proc) advance() {
 	defer p.recoverStep()
-	sh := p.sh
+	k := p.k
 	pl := &p.plan
 	for pl.i < len(pl.steps) {
 		s := &pl.steps[pl.i]
@@ -151,13 +149,13 @@ func (p *Proc) advance() {
 		var done Time
 		switch s.kind {
 		case stepSleep:
-			done = sh.now + s.d
+			done = k.now + s.d
 		case stepBusy:
 			done = s.pipe.Reserve(s.bytes)
-			if c := sh.now + s.d; c > done {
+			if c := k.now + s.d; c > done {
 				done = c
 			}
-			if done <= sh.now {
+			if done <= k.now {
 				continue // mirrors the unfused SleepUntil fast path
 			}
 		case stepAdd:
@@ -165,15 +163,15 @@ func (p *Proc) advance() {
 			continue
 		}
 		if pl.i == len(pl.steps) {
-			sh.schedProc(done, p)
+			k.schedProc(done, p)
 		} else {
-			sh.schedStep(done, p)
+			k.schedStep(done, p)
 		}
 		return
 	}
 	// Exhausted on instant steps: the process must continue at exactly this
 	// queue position, before any other pending entry.
-	sh.fused = p
+	k.fused = p
 }
 
 // runInline executes the plan through the ordinary process primitives — the
@@ -189,7 +187,7 @@ func (pl *Plan) runInline(p *Proc) {
 			p.Sleep(s.d)
 		case stepBusy:
 			done := s.pipe.Reserve(s.bytes)
-			if c := p.sh.now + s.d; c > done {
+			if c := p.k.now + s.d; c > done {
 				done = c
 			}
 			p.SleepUntil(done)
@@ -202,6 +200,6 @@ func (pl *Plan) runInline(p *Proc) {
 
 func (p *Proc) recoverStep() {
 	if r := recover(); r != nil {
-		p.sh.fail(procPanicError(p.Name(), r))
+		p.k.fail(procPanicError(p.Name(), r))
 	}
 }

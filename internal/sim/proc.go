@@ -7,15 +7,12 @@ import (
 )
 
 // Proc is a simulated process: a coroutine backed by a pooled goroutine
-// (see pool.go) and scheduled by its owning shard. Exactly one process body
-// executes at a time per shard, so process code may freely touch the shard's
-// simulation state without locking (on a sharded kernel, state in other
-// shards is off limits — see epoch.go for the cross-shard post API). A
-// process consumes virtual time only through Sleep, Wait, WaitGE, and
-// Transfer.
+// (see pool.go) and scheduled by its owning kernel. Exactly one process body
+// executes at a time per kernel, so process code may freely touch the
+// simulation state without locking. A process consumes virtual time only
+// through Sleep, Wait, WaitGE, and Transfer.
 type Proc struct {
 	k    *Kernel
-	sh   *Shard
 	name string
 	// nid is the flyweight name suffix (see Pipe.nid): SpawnIdx processes
 	// share one prefix string ("rank") and render "rank<nid>" lazily in
@@ -30,7 +27,7 @@ type Proc struct {
 	self  uint32
 	epoch uint32
 
-	// gate receives the virtual-CPU token: the shard (or a directly
+	// gate receives the virtual-CPU token: the kernel (or a directly
 	// handing-off peer process) sends to resume the process. The channel is
 	// owned by the backing pool worker and outlives the Proc; the Proc
 	// itself is a single-use handle, so no per-spawn state can leak across
@@ -44,7 +41,7 @@ type Proc struct {
 	waitC  *Counter
 	waitGE int64
 
-	idx int // position in sh.procs, for O(1) removal on exit
+	idx int // position in k.procs, for O(1) removal on exit
 
 	// plan is the reusable fused-step buffer (see plan.go). Its continuation
 	// is scheduled as an eStep entry naming self — no pre-bound closure.
@@ -77,57 +74,45 @@ func (p *Proc) check() {
 	}
 }
 
-// checkOwner guards wait registration on a sharded kernel: blocking on an
-// event or counter of another shard would let that shard mutate this
-// process's wait state mid-window.
-func (p *Proc) checkOwner(sh *Shard) {
-	if sh != p.sh {
-		panic("sim: process " + p.Name() + " waiting on an object of another shard")
-	}
-}
-
 // procPanicError formats a panic escaping process code — a process body or a
 // fused plan step — as the simulation failure Run reports.
 func procPanicError(name string, r any) error {
 	return fmt.Errorf("sim: process %s panicked: %v\n%s", name, r, debug.Stack())
 }
 
-// Spawn creates a process running fn on the root shard and schedules its
-// first execution at the current virtual time. fn runs to completion unless
-// it panics, which aborts the whole simulation with an error from
-// Kernel.Run. The backing goroutine comes from the shared worker pool, so
-// repeated Kernel instances reuse parked goroutines (and their grown
-// stacks) instead of spawning fresh ones.
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc { return k.s0.Spawn(name, fn) }
-
-// Spawn creates a process running fn on this shard; see Kernel.Spawn.
-func (sh *Shard) Spawn(name string, fn func(p *Proc)) *Proc {
-	return sh.SpawnIdx(name, -1, fn)
+// Spawn creates a process running fn and schedules its first execution at
+// the current virtual time. fn runs to completion unless it panics, which
+// aborts the whole simulation with an error from Kernel.Run. The backing
+// goroutine comes from the shared worker pool, so repeated Kernel instances
+// reuse parked goroutines (and their grown stacks) instead of spawning
+// fresh ones.
+func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
+	return k.SpawnIdx(name, -1, fn)
 }
 
 // SpawnIdx is Spawn for indexed process families: the process renders its
 // name lazily as "<prefix><id>" (id >= 0), so spawning a million ranks
 // formats no name strings. Scheduling is identical to Spawn.
-func (sh *Shard) SpawnIdx(prefix string, id int32, fn func(p *Proc)) *Proc {
-	p := sh.carveProc(prefix, id)
+func (k *Kernel) SpawnIdx(prefix string, id int32, fn func(p *Proc)) *Proc {
+	p := k.carveProc(prefix, id)
 	w := getWorker()
 	p.gate = w.gate
 	w.p, w.fn = p, fn
-	p.idx = len(sh.procs)
-	sh.procs = append(sh.procs, p.self)
-	sh.ring.push(entry{kind: eResume, idx: p.self})
+	p.idx = len(k.procs)
+	k.procs = append(k.procs, p.self)
+	k.ring.push(entry{kind: eResume, idx: p.self})
 	return p
 }
 
-// carveProc carves a process slot from the shard's arena and reinitializes
+// carveProc carves a process slot from the kernel's arena and reinitializes
 // every field a previous lease may have left behind (slots are reused after
 // Kernel.Reset). The program frame is cleared in resetFrame (program.go),
 // the one file allowed to touch those fields; the plan keeps its step-buffer
 // capacity.
-func (sh *Shard) carveProc(name string, nid int32) *Proc {
-	p, self := sh.arena.newProc()
-	p.k, p.sh, p.name, p.nid = sh.k, sh, name, nid
-	p.self, p.epoch = self, sh.k.epoch
+func (k *Kernel) carveProc(name string, nid int32) *Proc {
+	p, self := k.arena.newProc()
+	p.k, p.name, p.nid = k, name, nid
+	p.self, p.epoch = self, k.epoch
 	p.gate = nil
 	p.waitEv, p.waitC, p.waitGE = nil, nil, 0
 	p.plan.p = p
@@ -139,45 +124,52 @@ func (sh *Shard) carveProc(name string, nid int32) *Proc {
 
 // exec runs the process body on its pool worker, converting panics into a
 // simulation failure and dropping the finished process from the deadlock-
-// report set. The worker still holds the shard's virtual-CPU token
-// throughout, so the shard's state is ours to touch; the token is passed on
+// report set. The worker still holds the kernel's virtual-CPU token
+// throughout, so the kernel's state is ours to touch; the token is passed on
 // by the worker loop immediately after exec returns.
 func (p *Proc) exec(fn func(p *Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.sh.fail(procPanicError(p.Name(), r))
+			p.k.fail(procPanicError(p.Name(), r))
 		}
-		sh := p.sh
-		last := len(sh.procs) - 1
-		moved := sh.procs[last]
-		sh.procs[p.idx] = moved
-		sh.procAt(moved).idx = p.idx
-		sh.procs = sh.procs[:last]
+		p.unregister()
 	}()
 	fn(p)
 }
 
+// unregister drops a finished process from the deadlock-report set: the
+// goroutine body's exit (exec) and an inline program's last continuation
+// (program.go) both end here.
+func (p *Proc) unregister() {
+	k := p.k
+	last := len(k.procs) - 1
+	moved := k.procs[last]
+	k.procs[p.idx] = moved
+	k.procAt(moved).idx = p.idx
+	k.procs = k.procs[:last]
+}
+
 // yield releases the virtual CPU and blocks the goroutine until the next
-// resume. The yielding process first drives the shard's scheduler itself
+// resume. The yielding process first drives the kernel's scheduler itself
 // (handoff): callbacks due before the next process resume run right here,
 // the clock advances if needed, and the token then goes straight to the next
 // runnable process — one rendezvous, scheduler goroutine not involved. If
 // that process is this one (e.g. a Sleep(0) queued behind nothing), yield
 // keeps the CPU and returns immediately. Only when no process is runnable
-// (queues drained, window edge, noHandoff mode, or failure) does the token
-// return to the shard's scheduler loop.
+// (queues drained, noHandoff mode, or failure) does the token return to the
+// kernel's scheduler loop.
 func (p *Proc) yield() {
 	if p.inline {
 		panic("sim: blocking primitive called on program process " + p.Name())
 	}
-	q := p.sh.handoff()
+	q := p.k.handoff()
 	if q == p {
 		return
 	}
 	if q != nil {
 		q.gate <- struct{}{}
 	} else {
-		p.sh.sched <- struct{}{}
+		p.k.sched <- struct{}{}
 	}
 	<-p.gate
 }
@@ -206,11 +198,8 @@ func (p *Proc) Name() string {
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// Shard returns the owning shard (the root shard on a serial kernel).
-func (p *Proc) Shard() *Shard { return p.sh }
-
-// Now returns the owning shard's current virtual time.
-func (p *Proc) Now() Time { return p.sh.now }
+// Now returns the current virtual time.
+func (p *Proc) Now() Time { return p.k.now }
 
 // Sleep advances the process by d of virtual time. Negative durations are
 // treated as zero.
@@ -219,7 +208,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.sh.schedProc(p.sh.now+d, p)
+	p.k.schedProc(p.k.now+d, p)
 	p.yield()
 }
 
@@ -227,40 +216,36 @@ func (p *Proc) Sleep(d Time) {
 // past return immediately.
 func (p *Proc) SleepUntil(t Time) {
 	p.check()
-	if t <= p.sh.now {
+	if t <= p.k.now {
 		return
 	}
-	p.sh.schedProc(t, p)
+	p.k.schedProc(t, p)
 	p.yield()
 }
 
 // Wait blocks the process until ev fires. If ev has already fired it returns
-// immediately without consuming virtual time. ev must live on the process's
-// own shard.
+// immediately without consuming virtual time.
 func (p *Proc) Wait(ev *Event) {
 	p.check()
 	ev.check()
-	p.checkOwner(ev.sh)
 	if ev.fired {
 		return
 	}
 	p.waitEv = ev
-	p.sh.blocked++
+	p.k.blocked++
 	ev.waiters = append(ev.waiters, entry{kind: eResume, idx: p.self})
 	p.yield()
 }
 
-// WaitGE blocks the process until c reaches at least v. c must live on the
-// process's own shard.
+// WaitGE blocks the process until c reaches at least v.
 func (p *Proc) WaitGE(c *Counter, v int64) {
 	p.check()
 	c.check()
-	p.checkOwner(c.sh)
 	if c.v >= v {
 		return
 	}
 	p.waitC, p.waitGE = c, v
-	p.sh.blocked++
+	p.k.blocked++
 	c.wait(v, entry{kind: eResume, idx: p.self})
 	p.yield()
 }

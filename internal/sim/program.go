@@ -57,28 +57,22 @@ package sim
 // mode the identical body runs on an ordinary goroutine process, with each
 // operation falling back to its blocking primitive.
 func (k *Kernel) SpawnProgram(name string, fn func(p *Proc)) *Proc {
-	return k.s0.SpawnProgram(name, fn)
-}
-
-// SpawnProgram creates a program-mode process on this shard; see
-// Kernel.SpawnProgram.
-func (sh *Shard) SpawnProgram(name string, fn func(p *Proc)) *Proc {
-	return sh.SpawnProgramIdx(name, -1, fn)
+	return k.SpawnProgramIdx(name, -1, fn)
 }
 
 // SpawnProgramIdx is SpawnProgram for indexed process families (see
-// Shard.SpawnIdx): the name renders lazily as "<prefix><id>".
-func (sh *Shard) SpawnProgramIdx(prefix string, id int32, fn func(p *Proc)) *Proc {
-	if sh.k.noProgram {
-		return sh.SpawnIdx(prefix, id, fn)
+// Kernel.SpawnIdx): the name renders lazily as "<prefix><id>".
+func (k *Kernel) SpawnProgramIdx(prefix string, id int32, fn func(p *Proc)) *Proc {
+	if k.noProgram {
+		return k.SpawnIdx(prefix, id, fn)
 	}
-	p := sh.carveProc(prefix, id)
+	p := k.carveProc(prefix, id)
 	p.inline = true
-	p.idx = len(sh.procs)
-	sh.procs = append(sh.procs, p.self)
+	p.idx = len(k.procs)
+	k.procs = append(k.procs, p.self)
 	p.cont = func() { fn(p) }
 	p.armed = true
-	sh.ring.push(entry{kind: eCont, idx: p.self})
+	k.ring.push(entry{kind: eCont, idx: p.self})
 	return p
 }
 
@@ -99,7 +93,7 @@ func (p *Proc) Inline() bool { return p.inline }
 // failure a goroutine process body panic produces.
 func (p *Proc) progRecover() {
 	if r := recover(); r != nil {
-		p.sh.fail(procPanicError(p.Name(), r))
+		p.k.fail(procPanicError(p.Name(), r))
 	}
 }
 
@@ -114,7 +108,7 @@ func (p *Proc) runCont() {
 	p.cont = nil
 	c()
 	if !p.armed {
-		p.finishProgram()
+		p.unregister()
 	}
 }
 
@@ -127,19 +121,8 @@ func (p *Proc) runProg() {
 	p.armed = false
 	p.stepProg()
 	if !p.armed {
-		p.finishProgram()
+		p.unregister()
 	}
-}
-
-// finishProgram drops a completed program from the deadlock-report set, the
-// inline analog of the removal in Proc.exec.
-func (p *Proc) finishProgram() {
-	sh := p.sh
-	last := len(sh.procs) - 1
-	moved := sh.procs[last]
-	sh.procs[p.idx] = moved
-	sh.procAt(moved).idx = p.idx
-	sh.procs = sh.procs[:last]
 }
 
 // checkIdle guards the tail-call contract: arming a second resume while one
@@ -159,11 +142,11 @@ func (p *Proc) checkIdle() {
 //bgplint:hot
 func (p *Proc) schedContAt(t Time) {
 	p.armed = true
-	if t <= p.sh.now {
-		p.sh.ring.push(entry{kind: eCont, idx: p.self})
+	if t <= p.k.now {
+		p.k.ring.push(entry{kind: eCont, idx: p.self})
 		return
 	}
-	p.sh.queue.push(t, entry{kind: eCont, idx: p.self})
+	p.k.queue.push(t, entry{kind: eCont, idx: p.self})
 }
 
 // SleepThen advances the process by d of virtual time and then continues
@@ -182,7 +165,7 @@ func (p *Proc) SleepThen(d Time, cont func()) {
 		d = 0
 	}
 	p.cont = cont
-	p.schedContAt(p.sh.now + d)
+	p.schedContAt(p.k.now + d)
 }
 
 // SleepUntilThen continues with cont at absolute virtual time t — the
@@ -197,7 +180,7 @@ func (p *Proc) SleepUntilThen(t Time, cont func()) {
 		return
 	}
 	p.checkIdle()
-	if t <= p.sh.now {
+	if t <= p.k.now {
 		cont()
 		return
 	}
@@ -215,7 +198,7 @@ func (p *Proc) SleepUntilThen(t Time, cont func()) {
 //bgplint:hot
 func (p *Proc) BusyThen(pipe *Pipe, bytes int, concurrent Time, cont func()) {
 	done := pipe.Reserve(bytes)
-	if c := p.sh.now + concurrent; c > done {
+	if c := p.k.now + concurrent; c > done {
 		done = c
 	}
 	if !p.inline {
@@ -224,7 +207,7 @@ func (p *Proc) BusyThen(pipe *Pipe, bytes int, concurrent Time, cont func()) {
 		return
 	}
 	p.checkIdle()
-	if done <= p.sh.now {
+	if done <= p.k.now {
 		cont()
 		return
 	}
@@ -245,13 +228,12 @@ func (p *Proc) WaitThen(ev *Event, cont func()) {
 	}
 	p.checkIdle()
 	ev.check()
-	p.checkOwner(ev.sh)
 	if ev.fired {
 		cont()
 		return
 	}
 	p.waitEv = ev
-	p.sh.blocked++
+	p.k.blocked++
 	p.cont = cont
 	p.armed = true
 	ev.waiters = append(ev.waiters, entry{kind: eCont, idx: p.self})
@@ -269,13 +251,12 @@ func (p *Proc) WaitGEThen(c *Counter, v int64, cont func()) {
 	}
 	p.checkIdle()
 	c.check()
-	p.checkOwner(c.sh)
 	if c.v >= v {
 		cont()
 		return
 	}
 	p.waitC, p.waitGE = c, v
-	p.sh.blocked++
+	p.k.blocked++
 	p.cont = cont
 	p.armed = true
 	c.wait(v, entry{kind: eCont, idx: p.self})
@@ -297,7 +278,6 @@ func (p *Proc) WaitPlanThen(ev *Event, pl *Plan, cont func()) {
 	}
 	p.checkIdle()
 	ev.check()
-	p.checkOwner(ev.sh)
 	if ev.fired {
 		// Wait would have returned without yielding; the plan steps from
 		// here, scheduling exactly where the unfused slice would have.
@@ -306,7 +286,7 @@ func (p *Proc) WaitPlanThen(ev *Event, pl *Plan, cont func()) {
 		return
 	}
 	p.waitEv = ev
-	p.sh.blocked++
+	p.k.blocked++
 	p.cont = cont
 	p.armed = true
 	ev.waiters = append(ev.waiters, entry{kind: eProg, idx: p.self})
@@ -329,14 +309,13 @@ func (p *Proc) WaitGEPlanThen(c *Counter, v int64, pl *Plan, cont func()) {
 	}
 	p.checkIdle()
 	c.check()
-	p.checkOwner(c.sh)
 	if c.v >= v {
 		p.cont = cont
 		p.stepProg()
 		return
 	}
 	p.waitC, p.waitGE = c, v
-	p.sh.blocked++
+	p.k.blocked++
 	p.cont = cont
 	p.armed = true
 	c.wait(v, entry{kind: eProg, idx: p.self})
@@ -350,7 +329,7 @@ func (p *Proc) WaitGEPlanThen(c *Counter, v int64, pl *Plan, cont func()) {
 //
 //bgplint:hot
 func (p *Proc) stepProg() {
-	sh := p.sh
+	k := p.k
 	pl := &p.plan
 	for pl.i < len(pl.steps) {
 		s := &pl.steps[pl.i]
@@ -358,13 +337,13 @@ func (p *Proc) stepProg() {
 		var done Time
 		switch s.kind {
 		case stepSleep:
-			done = sh.now + s.d
+			done = k.now + s.d
 		case stepBusy:
 			done = s.pipe.Reserve(s.bytes)
-			if c := sh.now + s.d; c > done {
+			if c := k.now + s.d; c > done {
 				done = c
 			}
-			if done <= sh.now {
+			if done <= k.now {
 				continue // mirrors the unfused SleepUntil fast path
 			}
 		case stepAdd:
@@ -375,10 +354,10 @@ func (p *Proc) stepProg() {
 			p.schedContAt(done)
 		} else {
 			p.armed = true
-			if done <= sh.now {
-				sh.ring.push(entry{kind: eProg, idx: p.self})
+			if done <= k.now {
+				k.ring.push(entry{kind: eProg, idx: p.self})
 			} else {
-				sh.queue.push(done, entry{kind: eProg, idx: p.self})
+				k.queue.push(done, entry{kind: eProg, idx: p.self})
 			}
 		}
 		return

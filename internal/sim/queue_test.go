@@ -174,7 +174,7 @@ func (h *queueHarness) run(data []byte) {
 			}
 		case 2:
 			h.peek()
-		case 3: // push below the peeked minimum, as a sharded merge does
+		case 3: // push below the peeked minimum: the contract is only t >= last
 			i++
 			if h.peeked > h.last {
 				h.push(h.last + Time(arg(i))%(h.peeked-h.last))

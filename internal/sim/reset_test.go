@@ -127,45 +127,6 @@ func TestResetStaleHandlesPanic(t *testing.T) {
 	}
 }
 
-// TestResetStaleShardHandlesPanic extends the stale-handle guarantee to a
-// sharded kernel: handles carved from any peer shard's or the hub shard's
-// arena must fail loudly after Reset, and fresh handles on every shard must
-// work, so pooled sharded worlds inherit the same safety net as classic
-// ones.
-func TestResetStaleShardHandlesPanic(t *testing.T) {
-	k, peers, hub := newShardStressKernel()
-	ev1 := peers[1].NewEvent("stale.s1.ev")
-	c2 := peers[2].NewCounter("stale.s2.c")
-	ch := hub.NewCounter("stale.hub.c")
-	peers[1].Spawn("fire1", func(p *Proc) { ev1.Fire() })
-	peers[2].Spawn("fire2", func(p *Proc) { c2.Add(1) })
-	peers[0].Spawn("tohub", func(p *Proc) {
-		p.Shard().PostAdd(p.Now(), ch, 1)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	k.Reset()
-
-	expectPanic(t, "event handle (stale.s1.ev) used across Kernel.Reset", func() { ev1.Fire() })
-	expectPanic(t, "counter handle (stale.s2.c) used across Kernel.Reset", func() { c2.Add(1) })
-	expectPanic(t, "counter handle (stale.hub.c) used across Kernel.Reset", func() {
-		peers[0].PostAdd(0, ch, 1)
-	})
-
-	// The shard partition survives Reset: fresh handles on each shard work.
-	done := hub.NewCounter("fresh.done")
-	for i, sh := range peers {
-		sh.Spawn(fmt.Sprintf("fresh%d", i), func(p *Proc) {
-			p.Shard().PostAdd(p.Now(), done, 1)
-		})
-	}
-	hub.Spawn("sink", func(p *Proc) { p.WaitGE(done, int64(len(peers))) })
-	if err := k.Run(); err != nil {
-		t.Fatalf("post-reset run: %v", err)
-	}
-}
-
 // TestResetRefusesLiveProcs: a deadlocked kernel still owns parked process
 // goroutines whose stacks reference arena storage; Reset must refuse to pull
 // the arena out from under them.

@@ -255,7 +255,7 @@ func (f *FP) Event(e *Event) {
 	f.Bool(e.fired)
 	f.raw8(uint64(len(e.waiters)))
 	for _, w := range e.waiters {
-		f.entryCanon(e.sh, w)
+		f.entryCanon(e.k, w)
 	}
 }
 
@@ -280,7 +280,7 @@ func (f *FP) Counter(c *Counter) {
 	f.raw8(uint64(len(c.waiters)))
 	for _, w := range c.waiters {
 		f.raw8(uint64(w.threshold))
-		f.entryCanon(c.sh, w.e)
+		f.entryCanon(c.k, w.e)
 	}
 }
 
@@ -312,11 +312,11 @@ func (f *FP) PipeRef(p *Pipe) {
 // position and steps. The continuation closure itself is not hashable; the
 // program contract (a continuation is a pure function of the process's
 // reached state) makes the reached state a sufficient proxy.
-func (f *FP) procRef(sh *Shard, pi uint32) {
+func (f *FP) procRef(k *Kernel, pi uint32) {
 	if f.refused || f.forward {
 		return
 	}
-	p := sh.procAt(pi)
+	p := k.procAt(pi)
 	if p.fpGen == f.in.gen {
 		f.buf = append(f.buf, fpRef)
 		f.raw8(uint64(p.fpID))
@@ -365,21 +365,21 @@ func (f *FP) procRef(sh *Shard, pi uint32) {
 
 // entryCanon hashes one pending queue/ring/waiter entry. Process-routed
 // kinds hash by interned process; scheduled adds hash by counter and
-// increment. Callback and hook entries hold closures the fingerprint cannot
-// see through, so they refuse the capture.
-func (f *FP) entryCanon(sh *Shard, e entry) {
+// increment. Callback entries hold closures the fingerprint cannot see
+// through, so they refuse the capture.
+func (f *FP) entryCanon(k *Kernel, e entry) {
 	if f.refused || f.forward {
 		return
 	}
 	f.buf = append(f.buf, e.kind)
 	switch e.kind {
 	case eResume, eStep, eCont, eProg:
-		f.procRef(sh, e.idx)
+		f.procRef(k, e.idx)
 	case eAdd:
-		a := sh.adds[e.idx]
+		a := k.adds[e.idx]
 		f.Counter(a.c)
 		f.raw8(uint64(a.n))
-	default: // eFn, eHook, eNone
+	default: // eFn, eNone
 		f.Refuse("pending callback entry")
 	}
 }
@@ -387,31 +387,26 @@ func (f *FP) entryCanon(sh *Shard, e entry) {
 // steadyWalk hashes the kernel's observable scheduling state: pending ring
 // entries in FIFO order, pending queue entries in (time, seq) order with
 // boundary-relative times, every registered process, and the machine's base
-// pipes. Sharded kernels, failed shards and in-flight fused resumes refuse.
+// pipes. A failed kernel and an in-flight fused resume refuse.
 func (k *Kernel) steadyWalk(f *FP) {
 	if k.noExtrap {
 		f.Refuse("noExtrap reference mode")
 		return
 	}
-	if len(k.shards) > 1 {
-		f.Refuse("sharded kernel")
-		return
-	}
-	sh := &k.s0
-	if sh.fused != nil {
+	if k.fused != nil {
 		f.Refuse("fused resume pending")
 		return
 	}
-	if sh.failure != nil {
-		f.Refuse("failed shard")
+	if k.failure != nil {
+		f.Refuse("failed kernel")
 		return
 	}
-	f.now = sh.now
-	f.raw8(uint64(sh.blocked))
+	f.now = k.now
+	f.raw8(uint64(k.blocked))
 
-	f.raw8(uint64(sh.ring.n))
-	for i := 0; i < sh.ring.n; i++ {
-		f.entryCanon(sh, sh.ring.buf[(sh.ring.head+i)&(len(sh.ring.buf)-1)])
+	f.raw8(uint64(k.ring.n))
+	for i := 0; i < k.ring.n; i++ {
+		f.entryCanon(k, k.ring.buf[(k.ring.head+i)&(len(k.ring.buf)-1)])
 		if f.refused {
 			return
 		}
@@ -419,19 +414,19 @@ func (k *Kernel) steadyWalk(f *FP) {
 
 	// The queue's drain order is its exact pop order, so the stream is
 	// independent of how entries happen to be spread across buckets.
-	f.in.scratch = sh.queue.drain(f.in.scratch[:0])
+	f.in.scratch = k.queue.drain(f.in.scratch[:0])
 	f.raw8(uint64(len(f.in.scratch)))
 	for _, x := range f.in.scratch {
 		f.Time(x.t)
-		f.entryCanon(sh, x.ent)
+		f.entryCanon(k, x.ent)
 		if f.refused {
 			return
 		}
 	}
 
-	f.raw8(uint64(len(sh.procs)))
-	for _, pi := range sh.procs {
-		f.procRef(sh, pi)
+	f.raw8(uint64(len(k.procs)))
+	for _, pi := range k.procs {
+		f.procRef(k, pi)
 		if f.refused {
 			return
 		}
@@ -560,7 +555,7 @@ func (s *Steady) Capture() bool {
 	f := s.hist[last]
 	copy(s.hist[1:], s.hist[:last])
 	s.hist[0] = f
-	f.reset(s.k.s0.now)
+	f.reset(s.k.now)
 	// Size this capture off the previous one: consecutive fingerprints of
 	// the same loop are near-identical in length, and growing a rack-scale
 	// buffer through append doublings would fault roughly twice the final
@@ -642,15 +637,14 @@ func (s *Steady) Forward(reps int64) {
 		return
 	}
 	k := s.k
-	sh := &k.s0
 	shift := Time(reps) * s.delta
-	sh.queue.shiftAll(shift)
+	k.queue.shiftAll(shift)
 	for _, p := range k.pipes {
-		if p.free > sh.now {
+		if p.free > k.now {
 			p.free += shift
 		}
 	}
-	sh.now += shift
+	k.now += shift
 
 	// Replay the monotone accumulators through the same walk in forward
 	// mode: each lane grows by reps × (current − matched) — its growth

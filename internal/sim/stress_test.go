@@ -33,7 +33,6 @@ type stressMode struct {
 	noHandoff bool
 	noFuse    bool
 	noProgram bool
-	noShard   bool
 	noExtrap  bool
 }
 
@@ -439,394 +438,5 @@ func TestPooledProcReuseAcrossKernels(t *testing.T) {
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "reused.stuck(event:nope)") {
 		t.Fatalf("deadlock on a pooled proc misreported: %v", err)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Sharded stress matrix: the same kind of randomized pipeline workload, laid
-// out across three peer shards and a hub, run under the full 16-mode
-// {handoff, fuse, program, shard} matrix. The shard dimension compares the
-// parallel epoch execution against the noShard sequential reference — the
-// two run the identical window/mailbox algorithm, so every trace and every
-// deadlock report must be bit-identical.
-
-const shardStressLookahead = 100 * Nanosecond
-
-// shardStressModes is the full 32-mode matrix over the sharded workload.
-var shardStressModes = func() []stressMode {
-	var ms []stressMode
-	for _, m := range stressModes {
-		par := m
-		par.name += "+parallel-shards"
-		ms = append(ms, par)
-		seq := m
-		seq.noShard = true
-		seq.name += "+sequential-shards"
-		ms = append(ms, seq)
-	}
-	return ms
-}()
-
-// newShardStressKernel builds the partition the sharded workload runs on:
-// three peer shards (the root plus two) and one hub.
-func newShardStressKernel() (k *Kernel, peers []*Shard, hub *Shard) {
-	k = New()
-	peers = []*Shard{k.RootShard(), k.NewShard(), k.NewShard()}
-	hub = k.NewHubShard()
-	k.SetLookahead(shardStressLookahead)
-	return k, peers, hub
-}
-
-// shardStressTraceOn runs the sharded pipeline workload: 12 procs in blocks
-// of 4 per peer shard, each proc's pipes and wait objects local to its own
-// shard, tokens and events crossing shard boundaries through PostAdd and
-// PostFire one lookahead in the future, and every proc reporting completion
-// into a hub counter at its own finish instant (the peer-to-hub same-window
-// post). Each proc appends only to its own trace slice (under its shard's
-// token), and the slices are concatenated in proc order afterwards, so the
-// recording itself is identical under parallel and sequential execution.
-func shardStressTraceOn(t *testing.T, seed int64, mode stressMode, k *Kernel, peers []*Shard, hub *Shard) []stressRec {
-	t.Helper()
-	const (
-		procs      = 12
-		perShard   = 4
-		rounds     = 12
-		crossDelay = shardStressLookahead
-	)
-	shardOf := func(i int) *Shard { return peers[i/perShard] }
-	rng := rand.New(rand.NewSource(seed))
-	k.noHandoff, k.noFuse, k.noProgram, k.noShard, k.noExtrap =
-		mode.noHandoff, mode.noFuse, mode.noProgram, mode.noShard, mode.noExtrap
-
-	// Per-shard pipe pairs: pipes are shard-owned resources.
-	pipes := make([][]*Pipe, len(peers))
-	for s, sh := range peers {
-		pipes[s] = []*Pipe{
-			sh.NewPipe(fmt.Sprintf("busA.%d", s), 2e9, 10*Nanosecond),
-			sh.NewPipe(fmt.Sprintf("busB.%d", s), 6.8e9, 0),
-		}
-	}
-	// tokens[i] is what proc i+1 waits on, so it lives on proc i+1's shard;
-	// evs[i][r] is waited on by proc i, so it lives on proc i's shard.
-	scratch := make([]*Counter, len(peers))
-	for s, sh := range peers {
-		scratch[s] = sh.NewCounter(fmt.Sprintf("scratch.%d", s))
-	}
-	tokens := make([]*Counter, procs)
-	evs := make([][]*Event, procs)
-	for i := 0; i < procs; i++ {
-		if i+1 < procs {
-			tokens[i] = shardOf(i + 1).NewCounter(fmt.Sprintf("tok%d", i))
-		}
-		evs[i] = make([]*Event, rounds)
-		for r := range evs[i] {
-			evs[i][r] = shardOf(i).NewEvent(fmt.Sprintf("ev%d.%d", i, r))
-		}
-	}
-	hubDone := hub.NewCounter("hub.done")
-
-	type roundProg struct {
-		useEvent  bool
-		usePlan   bool
-		signalEv  bool
-		steps     []planStep
-		bodySleep Time
-		bodyPipe  int
-		bodyBytes int
-	}
-	prog := make([][]roundProg, procs)
-	for i := 0; i < procs; i++ {
-		sp := pipes[i/perShard]
-		prog[i] = make([]roundProg, rounds)
-		for r := 0; r < rounds; r++ {
-			p := &prog[i][r]
-			p.useEvent = rng.Intn(3) == 0
-			p.usePlan = rng.Intn(2) == 0
-			nsteps := rng.Intn(4)
-			for s := 0; s < nsteps; s++ {
-				switch rng.Intn(3) {
-				case 0:
-					p.steps = append(p.steps, planStep{kind: stepSleep, d: Time(rng.Intn(50)) * Nanosecond})
-				case 1:
-					p.steps = append(p.steps, planStep{
-						kind: stepBusy, pipe: sp[rng.Intn(len(sp))],
-						bytes: 256 + rng.Intn(8192), d: Time(rng.Intn(30)) * Nanosecond,
-					})
-				case 2:
-					p.steps = append(p.steps, planStep{kind: stepAdd, c: scratch[i/perShard], n: 1})
-				}
-			}
-			p.bodySleep = Time(rng.Intn(40)) * Nanosecond
-			p.bodyPipe = rng.Intn(len(sp)+1) - 1
-			p.bodyBytes = 512 + rng.Intn(4096)
-		}
-	}
-	for i := 1; i < procs; i++ {
-		for r := 0; r < rounds; r++ {
-			prog[i-1][r].signalEv = prog[i][r].useEvent
-		}
-	}
-	useProgram := make([]bool, procs)
-	for i := range useProgram {
-		useProgram[i] = rng.Intn(2) == 0
-	}
-
-	// Per-proc trace slices: each is appended only under its owning shard's
-	// virtual-CPU token, so parallel windows never race on the recording.
-	traces := make([][]stressRec, procs+1)
-	signal := func(p *Proc, i, r int) {
-		if i >= procs-1 {
-			return
-		}
-		pr := &prog[i][r]
-		sameShard := i/perShard == (i+1)/perShard
-		if pr.signalEv {
-			if sameShard {
-				evs[i+1][r].Fire()
-			} else {
-				p.Shard().PostFire(p.Now()+crossDelay, evs[i+1][r])
-			}
-		}
-		if sameShard {
-			tokens[i].Add(1)
-		} else {
-			p.Shard().PostAdd(p.Now()+crossDelay, tokens[i], 1)
-		}
-	}
-	finish := func(p *Proc) {
-		// Peer-to-hub posts carry the sender's current instant: the hub runs
-		// after the peer phase of the same window, so it still sees a
-		// complete merged view of every finish time.
-		p.Shard().PostAdd(p.Now(), hubDone, 1)
-	}
-
-	for i := 0; i < procs; i++ {
-		sh := shardOf(i)
-		blockingBody := func(p *Proc) {
-			for r := 0; r < rounds; r++ {
-				pr := &prog[i][r]
-				if i > 0 {
-					if pr.usePlan {
-						pl := p.NewPlan()
-						pl.steps = append(pl.steps, pr.steps...)
-						if pr.useEvent {
-							p.WaitPlan(evs[i][r], pl)
-						} else {
-							p.WaitGEPlan(tokens[i-1], int64(r+1), pl)
-						}
-					} else {
-						if pr.useEvent {
-							p.Wait(evs[i][r])
-						} else {
-							p.WaitGE(tokens[i-1], int64(r+1))
-						}
-						for s := range pr.steps {
-							st := &pr.steps[s]
-							switch st.kind {
-							case stepSleep:
-								p.Sleep(st.d)
-							case stepBusy:
-								done := st.pipe.Reserve(st.bytes)
-								if c := p.Now() + st.d; c > done {
-									done = c
-								}
-								p.SleepUntil(done)
-							case stepAdd:
-								st.c.Add(st.n)
-							}
-						}
-					}
-				}
-				p.Sleep(pr.bodySleep)
-				if pr.bodyPipe >= 0 {
-					p.Transfer(pipes[i/perShard][pr.bodyPipe], pr.bodyBytes)
-				}
-				traces[i] = append(traces[i], stressRec{proc: i, round: r, at: p.Now()})
-				signal(p, i, r)
-			}
-			finish(p)
-		}
-		programBody := func(p *Proc) {
-			var round func(r int)
-			var runSteps func(r, s int)
-			var runBody func(r int)
-			finishRound := func(r int) {
-				traces[i] = append(traces[i], stressRec{proc: i, round: r, at: p.Now()})
-				signal(p, i, r)
-				round(r + 1)
-			}
-			runBody = func(r int) {
-				pr := &prog[i][r]
-				p.SleepThen(pr.bodySleep, func() {
-					if pr.bodyPipe >= 0 {
-						p.BusyThen(pipes[i/perShard][pr.bodyPipe], pr.bodyBytes, 0, func() { finishRound(r) })
-					} else {
-						finishRound(r)
-					}
-				})
-			}
-			runSteps = func(r, s int) {
-				pr := &prog[i][r]
-				if s == len(pr.steps) {
-					runBody(r)
-					return
-				}
-				st := &pr.steps[s]
-				switch st.kind {
-				case stepSleep:
-					p.SleepThen(st.d, func() { runSteps(r, s+1) })
-				case stepBusy:
-					p.BusyThen(st.pipe, st.bytes, st.d, func() { runSteps(r, s+1) })
-				case stepAdd:
-					st.c.Add(st.n)
-					runSteps(r, s+1)
-				}
-			}
-			round = func(r int) {
-				if r == rounds {
-					finish(p)
-					return
-				}
-				pr := &prog[i][r]
-				if i == 0 {
-					runBody(r)
-					return
-				}
-				if pr.usePlan {
-					pl := p.NewPlan()
-					pl.steps = append(pl.steps, pr.steps...)
-					if pr.useEvent {
-						p.WaitPlanThen(evs[i][r], pl, func() { runBody(r) })
-					} else {
-						p.WaitGEPlanThen(tokens[i-1], int64(r+1), pl, func() { runBody(r) })
-					}
-					return
-				}
-				if pr.useEvent {
-					p.WaitThen(evs[i][r], func() { runSteps(r, 0) })
-				} else {
-					p.WaitGEThen(tokens[i-1], int64(r+1), func() { runSteps(r, 0) })
-				}
-			}
-			round(0)
-		}
-		if useProgram[i] {
-			sh.SpawnProgram(fmt.Sprintf("p%d", i), programBody)
-		} else {
-			sh.Spawn(fmt.Sprintf("p%d", i), blockingBody)
-		}
-	}
-	hub.Spawn("hub.sink", func(p *Proc) {
-		p.WaitGE(hubDone, procs)
-		traces[procs] = append(traces[procs], stressRec{proc: procs, round: 0, at: p.Now()})
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("seed %d mode %s: %v", seed, mode.name, err)
-	}
-	var trace []stressRec
-	for _, tr := range traces {
-		trace = append(trace, tr...)
-	}
-	return trace
-}
-
-func shardStressTrace(t *testing.T, seed int64, mode stressMode) []stressRec {
-	t.Helper()
-	k, peers, hub := newShardStressKernel()
-	return shardStressTraceOn(t, seed, mode, k, peers, hub)
-}
-
-// TestShardStressModeEquivalence is the sharded kernel's determinism
-// obligation: all 16 {handoff, fuse, program, shard} modes — parallel
-// windows included — must produce bit-identical traces.
-func TestShardStressModeEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		base := shardStressTrace(t, seed, shardStressModes[0])
-		if len(base) == 0 {
-			t.Fatalf("seed %d: empty trace", seed)
-		}
-		for _, mode := range shardStressModes[1:] {
-			got := shardStressTrace(t, seed, mode)
-			if len(got) != len(base) {
-				t.Fatalf("seed %d: %s trace has %d records, %s has %d",
-					seed, mode.name, len(got), shardStressModes[0].name, len(base))
-			}
-			for i := range base {
-				if got[i] != base[i] {
-					t.Fatalf("seed %d: %s diverges from %s at record %d: %+v vs %+v",
-						seed, mode.name, shardStressModes[0].name, i, got[i], base[i])
-				}
-			}
-		}
-	}
-}
-
-// TestShardStressResetReuse replays the sharded workload on a Reset-reused
-// kernel (the shard partition persists across Reset) in both the parallel
-// and the sequential vehicle: reuse must not perturb the committed order.
-func TestShardStressResetReuse(t *testing.T) {
-	const seed = 7
-	for _, mode := range []stressMode{shardStressModes[0], shardStressModes[1]} {
-		k, peers, hub := newShardStressKernel()
-		first := shardStressTraceOn(t, seed, mode, k, peers, hub)
-		for rerun := 0; rerun < 2; rerun++ {
-			k.Reset()
-			again := shardStressTraceOn(t, seed, mode, k, peers, hub)
-			if len(again) != len(first) {
-				t.Fatalf("%s rerun %d: %d records vs %d", mode.name, rerun, len(again), len(first))
-			}
-			for i := range first {
-				if again[i] != first[i] {
-					t.Fatalf("%s rerun %d diverges at record %d: %+v vs %+v",
-						mode.name, rerun, i, again[i], first[i])
-				}
-			}
-		}
-	}
-}
-
-// TestShardDeadlockReportIdenticalAcrossModes deadlocks procs on three
-// different shards plus the hub: the merged, sorted report must be identical
-// across all 32 modes.
-func TestShardDeadlockReportIdenticalAcrossModes(t *testing.T) {
-	build := func(mode stressMode) error {
-		k, peers, hub := newShardStressKernel()
-		k.noHandoff, k.noFuse, k.noProgram, k.noShard, k.noExtrap =
-			mode.noHandoff, mode.noFuse, mode.noProgram, mode.noShard, mode.noExtrap
-		c1 := peers[1].NewCounter("starved1")
-		ev0 := peers[0].NewEvent("missing0")
-		ch := hub.NewCounter("hub.never")
-		peers[0].Spawn("waiter.ev", func(p *Proc) {
-			p.Sleep(Nanosecond)
-			p.Wait(ev0)
-		})
-		peers[1].Spawn("waiter.ge", func(p *Proc) { p.WaitGE(c1, 7) })
-		peers[2].SpawnProgram("waiter.prog", func(p *Proc) {
-			tok := p.Shard().NewCounter("tok2")
-			p.WaitGEThen(tok, 3, func() { t.Error("waiter.prog resumed") })
-		})
-		hub.Spawn("waiter.hub", func(p *Proc) { p.WaitGE(ch, 1) })
-		peers[1].Spawn("finisher", func(p *Proc) {
-			p.Sleep(5 * Nanosecond)
-			c1.Add(1)
-		})
-		return k.Run()
-	}
-	base := build(shardStressModes[0])
-	if base == nil {
-		t.Fatal("expected deadlock")
-	}
-	for _, want := range []string{
-		"waiter.ev(event:missing0)", "waiter.ge(counter:starved1>=7)",
-		"waiter.prog(counter:tok2>=3)", "waiter.hub(counter:hub.never>=1)",
-	} {
-		if !strings.Contains(base.Error(), want) {
-			t.Fatalf("deadlock report %q missing %q", base, want)
-		}
-	}
-	for _, mode := range shardStressModes[1:] {
-		if err := build(mode); err == nil || err.Error() != base.Error() {
-			t.Fatalf("%s deadlock report %q != %q", mode.name, err, base)
-		}
 	}
 }

@@ -16,7 +16,7 @@ func newNet(t *testing.T, dx, dy, dz int) (*sim.Kernel, *Network, hw.Params) {
 		t.Fatal(err)
 	}
 	p := hw.DefaultParams()
-	return k, New(k.RootShard(), geom, p), p
+	return k, New(k, geom, p), p
 }
 
 func TestDepthAndLatency(t *testing.T) {
